@@ -6,9 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dualsim_bench::{bench_datasets, FIXPOINT_MODES};
-use dualsim_core::{
-    build_sois, solve, solve_from, DrainStrategy, FixpointMode, IncrementalDualSim, SolverConfig,
-};
+use dualsim_core::{build_sois, solve, solve_from, IncrementalDualSim, SolverConfig};
 use dualsim_datagen::workloads::all_queries;
 use dualsim_graph::Triple;
 use std::hint::black_box;
@@ -39,26 +37,6 @@ fn cold_solves(c: &mut Criterion) {
                     }
                 })
             });
-        }
-        // The sharded drain on the delta engine: same logical work as
-        // `delta`, fanned out over scoped worker threads per round.
-        for threads in [2usize, 4] {
-            let cfg = SolverConfig {
-                fixpoint: FixpointMode::DeltaCounting,
-                drain: DrainStrategy::Sharded { threads },
-                ..SolverConfig::default()
-            };
-            group.bench_with_input(
-                BenchmarkId::new(format!("delta-sharded{threads}"), bench.id),
-                &sois,
-                |b, sois| {
-                    b.iter(|| {
-                        for soi in sois {
-                            black_box(solve(db, soi, &cfg));
-                        }
-                    })
-                },
-            );
         }
     }
     group.finish();

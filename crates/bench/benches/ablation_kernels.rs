@@ -1,9 +1,10 @@
 //! Kernel-backend ablation: ns/word of the four word-level primitives
 //! (`or`, `and`, `subset`, `popcount`) under each `KernelBackend`
-//! instantiation. All backends compute bit-identical results — the only
-//! thing this bench can show is wall time per word.
+//! instantiation. Both backends compute bit-identical results — the
+//! only thing this bench can show is wall time per word.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use dualsim_bitmatrix::kernels::with_backend;
 use dualsim_bitmatrix::{BitVec, KernelBackend};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,45 +34,38 @@ fn kernels(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_millis(1200));
     group.throughput(Throughput::Elements(WORDS));
 
-    for backend in [
-        KernelBackend::Scalar,
-        KernelBackend::Unrolled,
-        KernelBackend::Simd,
-    ] {
-        let resolved = backend.resolve();
-        if resolved != backend {
-            // Simd without AVX2 support resolves to Scalar — benching it
-            // again would just duplicate the scalar rows.
+    for backend in [KernelBackend::Scalar, KernelBackend::Simd] {
+        if backend.resolve() != backend {
+            // Simd without AVX2 support runs Scalar — benching it again
+            // would just duplicate the scalar rows.
             continue;
         }
-        backend.install();
-        group.bench_with_input(BenchmarkId::new("or", backend.name()), &(), |b, ()| {
-            b.iter(|| {
-                let mut x = a.clone();
-                x.or_assign(&b2);
-                black_box(&x);
-            })
+        with_backend(backend, || {
+            group.bench_with_input(BenchmarkId::new("or", backend.name()), &(), |b, ()| {
+                b.iter(|| {
+                    let mut x = a.clone();
+                    x.or_assign(&b2);
+                    black_box(&x);
+                })
+            });
+            group.bench_with_input(BenchmarkId::new("and", backend.name()), &(), |b, ()| {
+                b.iter(|| {
+                    let mut x = a.clone();
+                    x.and_assign(&b2);
+                    black_box(&x);
+                })
+            });
+            group.bench_with_input(BenchmarkId::new("subset", backend.name()), &(), |b, ()| {
+                b.iter(|| black_box(sub.is_subset_of(&a)))
+            });
+            group.bench_with_input(
+                BenchmarkId::new("popcount", backend.name()),
+                &(),
+                |b, ()| b.iter(|| black_box(a.count_ones())),
+            );
         });
-        group.bench_with_input(BenchmarkId::new("and", backend.name()), &(), |b, ()| {
-            b.iter(|| {
-                let mut x = a.clone();
-                x.and_assign(&b2);
-                black_box(&x);
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("subset", backend.name()), &(), |b, ()| {
-            b.iter(|| black_box(sub.is_subset_of(&a)))
-        });
-        group.bench_with_input(
-            BenchmarkId::new("popcount", backend.name()),
-            &(),
-            |b, ()| b.iter(|| black_box(a.count_ones())),
-        );
     }
     group.finish();
-    // Leave the process back on the default selection for any bench that
-    // runs after this one in the same harness invocation.
-    KernelBackend::Auto.install();
 }
 
 criterion_group!(benches, kernels);

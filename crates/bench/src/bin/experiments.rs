@@ -4,7 +4,7 @@
 //! experiments [table2|table3|table4|table5|iterations|pruning-power|spectrum|
 //!              fixpoint|incremental|strategies|quotient|chi-backend|slab|
 //!              kernels|durability|session|all]
-//!             [--smoke] [--threads N] [--chaos] [--out FILE]
+//!             [--smoke] [--chaos] [--out FILE]
 //! ```
 //!
 //! Dataset sizes: `DUALSIM_LUBM_UNIS` (default 15) and
@@ -19,13 +19,9 @@
 //! `chi-backend` → `BENCH_chi.json`, `slab` → `BENCH_slab.json`,
 //! `kernels` → `BENCH_kernels.json` (path override via `--out`, which
 //! applies to the selected subcommand).
-//! `fixpoint --threads N` drains the delta engine's worklist with the
-//! sharded strategy; for `N > 1` a single-threaded reference run is
-//! compared work-counter for work-counter — the sharded-drain
-//! determinism gate. `incremental --chaos` additionally measures the
-//! rollback journal's happy-path overhead (journal on/off A/B) and the
-//! cost of failpoint-killed batches (rollback + retry recovery), gated
-//! against a cold-solve reference. `durability` → `BENCH_durability.json`
+//! `incremental --chaos` additionally measures the cost of
+//! failpoint-killed batches (rollback + retry recovery), gated against a
+//! cold-solve reference. `durability` → `BENCH_durability.json`
 //! measures the write-ahead log's per-batch overhead (gated at zero
 //! logical ops), snapshot size against graph size, warm recovery against
 //! a cold rebuild, and the kill-at-every-failpoint crash-recovery sweep
@@ -42,12 +38,11 @@ use dualsim_bench::{
     incremental_report_json, kernels_report_json, quotient_report_json, render_table,
     run_chi_backend_ablation, run_durability, run_durability_crash, run_fixpoint_incremental,
     run_fixpoint_solve, run_incremental_chaos, run_incremental_churn, run_iterations,
-    run_journal_overhead, run_kernels_ablation, run_pruning_power, run_quotient_ablation,
-    run_session, run_simulation_spectrum, run_slab_ablation, run_strategies_ablation, run_table2,
-    run_table3, run_table45, secs, session_report_json, slab_report_json, strategies_report_json,
+    run_kernels_ablation, run_pruning_power, run_quotient_ablation, run_session,
+    run_simulation_spectrum, run_slab_ablation, run_strategies_ablation, run_table2, run_table3,
+    run_table45, secs, session_report_json, slab_report_json, strategies_report_json,
     tiny_datasets, Datasets, KERNEL_BACKENDS, SESSION_FLEETS,
 };
-use dualsim_core::DrainStrategy;
 use dualsim_engine::{HashJoinEngine, NestedLoopEngine};
 
 fn main() {
@@ -55,7 +50,6 @@ fn main() {
     let mut smoke = false;
     let mut chaos = false;
     let mut out_path: Option<String> = None;
-    let mut threads = 1usize;
     let mut which = "all".to_owned();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -67,16 +61,6 @@ fn main() {
                     eprintln!("--out needs a value");
                     std::process::exit(2);
                 }));
-            }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads needs a positive integer");
-                        std::process::exit(2);
-                    });
             }
             flag if flag.starts_with("--") => {
                 eprintln!("unknown flag {flag:?}");
@@ -103,14 +87,14 @@ fn main() {
         "iterations" => iterations(&data),
         "pruning-power" => pruning_power(&data),
         "spectrum" => spectrum(&data),
-        "fixpoint" => fixpoint(&data, smoke, threads, &out("BENCH_fixpoint.json")),
-        "incremental" => incremental(&data, smoke, chaos, threads, &out("BENCH_incremental.json")),
+        "fixpoint" => fixpoint(&data, smoke, &out("BENCH_fixpoint.json")),
+        "incremental" => incremental(&data, smoke, chaos, &out("BENCH_incremental.json")),
         "strategies" => strategies(&data, smoke, &out("BENCH_strategies.json")),
         "quotient" => quotient(&data, smoke, &out("BENCH_quotient.json")),
         "chi-backend" => chi_backend(&data, smoke, &out("BENCH_chi.json")),
         "slab" => slab(&data, smoke, &out("BENCH_slab.json")),
         "kernels" => kernels(&data, smoke, &out("BENCH_kernels.json")),
-        "durability" => durability(&data, smoke, threads, &out("BENCH_durability.json")),
+        "durability" => durability(&data, smoke, &out("BENCH_durability.json")),
         "session" => session(&data, smoke, &out("BENCH_session.json")),
         "all" => {
             // Three reports would fight over one path; `all` always
@@ -126,14 +110,14 @@ fn main() {
             iterations(&data);
             pruning_power(&data);
             spectrum(&data);
-            fixpoint(&data, smoke, threads, &out("BENCH_fixpoint.json"));
-            incremental(&data, smoke, chaos, threads, "BENCH_incremental.json");
+            fixpoint(&data, smoke, &out("BENCH_fixpoint.json"));
+            incremental(&data, smoke, chaos, "BENCH_incremental.json");
             strategies(&data, smoke, "BENCH_strategies.json");
             quotient(&data, smoke, "BENCH_quotient.json");
             chi_backend(&data, smoke, "BENCH_chi.json");
             slab(&data, smoke, "BENCH_slab.json");
             kernels(&data, smoke, "BENCH_kernels.json");
-            durability(&data, smoke, threads, "BENCH_durability.json");
+            durability(&data, smoke, "BENCH_durability.json");
             session(&data, smoke, "BENCH_session.json");
         }
         other => {
@@ -159,18 +143,11 @@ fn write_report(out_path: &str, json: &str) {
 /// The two-engine fixpoint ablation: cold solves over the whole workload
 /// plus the incremental-deletion scenario on the Fig. 6 queries. Emits
 /// `BENCH_fixpoint.json` and, under `--smoke`, enforces the ≥2× delta
-/// advantage on the incremental path as a hard regression gate. With
-/// `--threads N > 1` the delta worklist drains sharded, and a sequential
-/// reference run gates work-count parity (determinism, not wall-clock).
-fn fixpoint(data: &Datasets, smoke: bool, threads: usize, out_path: &str) {
-    let drain = if threads > 1 {
-        DrainStrategy::Sharded { threads }
-    } else {
-        DrainStrategy::Sequential
-    };
+/// advantage on the incremental path as a hard regression gate.
+fn fixpoint(data: &Datasets, smoke: bool, out_path: &str) {
     println!("\n== Ablation: re-evaluation vs. delta-counting fixpoint engine ==\n");
     let reps = if smoke { 1 } else { 3 };
-    let solve_rows = run_fixpoint_solve(data, reps, drain);
+    let solve_rows = run_fixpoint_solve(data, reps);
     let table: Vec<Vec<String>> = solve_rows
         .iter()
         .map(|r| {
@@ -207,7 +184,7 @@ fn fixpoint(data: &Datasets, smoke: bool, threads: usize, out_path: &str) {
 
     println!("\n== Incremental deletions (maintenance work only) ==\n");
     let (batches, stride) = if smoke { (4, 40) } else { (10, 25) };
-    let inc_rows = run_fixpoint_incremental(data, &["L0", "L1"], batches, stride, drain);
+    let inc_rows = run_fixpoint_incremental(data, &["L0", "L1"], batches, stride);
     let table: Vec<Vec<String>> = inc_rows
         .iter()
         .map(|r| {
@@ -231,39 +208,8 @@ fn fixpoint(data: &Datasets, smoke: bool, threads: usize, out_path: &str) {
     );
     // Write the report before any gating so a regression still leaves
     // the machine-readable evidence behind.
-    let json = fixpoint_report_json(data, drain, &solve_rows, &inc_rows);
+    let json = fixpoint_report_json(data, &solve_rows, &inc_rows);
     write_report(out_path, &json);
-
-    if threads > 1 {
-        // Sharded-drain determinism gate: the sharded runs must report
-        // the exact same logical work as single-threaded reference runs
-        // (χ equality is asserted inside each run against the
-        // re-evaluation engine, so equal ops ⇒ equal everything).
-        let seq_rows = run_fixpoint_solve(data, 1, DrainStrategy::Sequential);
-        for (s, p) in seq_rows.iter().zip(solve_rows.iter()) {
-            assert_eq!(
-                (s.id.as_str(), s.mode, s.ops, s.counter_inits, s.counter_decrements,
-                 s.seeds_deferred, s.lazy_seeds, s.drain_rounds),
-                (p.id.as_str(), p.mode, p.ops, p.counter_inits, p.counter_decrements,
-                 p.seeds_deferred, p.lazy_seeds, p.drain_rounds),
-                "sharded drain diverged from the sequential drain on {} ({})",
-                s.id, s.mode
-            );
-        }
-        let seq_inc =
-            run_fixpoint_incremental(data, &["L0", "L1"], batches, stride, DrainStrategy::Sequential);
-        for (s, p) in seq_inc.iter().zip(inc_rows.iter()) {
-            assert_eq!(
-                (s.id.as_str(), s.mode, s.ops, s.dropped),
-                (p.id.as_str(), p.mode, p.ops, p.dropped),
-                "sharded incremental maintenance diverged on {} ({})",
-                s.id, s.mode
-            );
-        }
-        println!(
-            "sharded drain ({threads} threads): work-count parity with the sequential drain holds"
-        );
-    }
 
     for pair in inc_rows.chunks(2) {
         let (reev, delta) = (&pair[0], &pair[1]);
@@ -293,22 +239,14 @@ fn fixpoint(data: &Datasets, smoke: bool, threads: usize, out_path: &str) {
 /// gates the tentpole claims: the delta engine must beat the cold
 /// baseline on op counts for every churn scenario (at bit-identical χ,
 /// asserted inside the run) and must stay warm through every batch —
-/// zero cold re-solves on the insertion path. With `--threads N > 1` a
-/// sequential reference run gates work-count parity of the sharded
-/// drain. With `--chaos` two robustness harnesses run on top: the
-/// journal-on/off A/B (gates the happy-path journal overhead at zero
-/// logical ops) and the failpoint chaos churn (kills every other batch
+/// zero cold re-solves on the insertion path. With `--chaos` the
+/// failpoint chaos churn runs on top (kills every other batch
 /// mid-maintenance, gates rollback + retry recovery to a cold-solve
-/// match), both recorded in the report's `journal` / `chaos` sections.
-fn incremental(data: &Datasets, smoke: bool, chaos: bool, threads: usize, out_path: &str) {
-    let drain = if threads > 1 {
-        DrainStrategy::Sharded { threads }
-    } else {
-        DrainStrategy::Sequential
-    };
+/// match), recorded in the report's `chaos` section.
+fn incremental(data: &Datasets, smoke: bool, chaos: bool, out_path: &str) {
     println!("\n== Incremental churn (insertions, deletions, mixed; maintenance work only) ==\n");
     let (batches, stride) = if smoke { (4, 40) } else { (10, 25) };
-    let rows = run_incremental_churn(data, &["L0", "L1"], batches, stride, drain);
+    let rows = run_incremental_churn(data, &["L0", "L1"], batches, stride);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -331,41 +269,9 @@ fn incremental(data: &Datasets, smoke: bool, chaos: bool, threads: usize, out_pa
             &table
         )
     );
-    let (journal_rows, chaos_rows) = if chaos {
-        println!("\n== Rollback journal: happy-path overhead (same stream, journal on/off) ==\n");
-        let journal_rows = run_journal_overhead(data, &["L0", "L1"], batches, stride, drain);
-        let table: Vec<Vec<String>> = journal_rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.id.clone(),
-                    r.mode.to_owned(),
-                    r.batches.to_string(),
-                    secs(r.wall),
-                    r.ops.to_string(),
-                    r.journal_entries.to_string(),
-                ]
-            })
-            .collect();
-        print!(
-            "{}",
-            render_table(
-                &["Scenario", "journal", "batches", "wall", "ops", "entries"],
-                &table
-            )
-        );
-        for pair in journal_rows.chunks(2) {
-            let (on, off) = (&pair[0], &pair[1]);
-            println!(
-                "{}: journal wall overhead {:+.1}% at identical logical ops ({} entries)",
-                on.id,
-                100.0 * (on.wall.as_secs_f64() / off.wall.as_secs_f64().max(1e-9) - 1.0),
-                on.journal_entries
-            );
-        }
-
+    let chaos_rows = if chaos {
         println!("\n== Chaos churn: failpoint kills, rollback + retry recovery ==\n");
-        let chaos_rows = run_incremental_chaos(data, &["L0", "L1"], batches, stride, drain);
+        let chaos_rows = run_incremental_chaos(data, &["L0", "L1"], batches, stride);
         let table: Vec<Vec<String>> = chaos_rows
             .iter()
             .map(|r| {
@@ -404,30 +310,15 @@ fn incremental(data: &Datasets, smoke: bool, chaos: bool, threads: usize, out_pa
             );
         }
         println!("every killed batch rolled back and recovered to the cold-solve solution");
-        (journal_rows, chaos_rows)
+        chaos_rows
     } else {
-        (Vec::new(), Vec::new())
+        Vec::new()
     };
 
     // Write the report before any gating so a regression still leaves
     // the machine-readable evidence behind.
-    let json = incremental_report_json(data, drain, &rows, &journal_rows, &chaos_rows);
+    let json = incremental_report_json(data, &rows, &chaos_rows);
     write_report(out_path, &json);
-
-    if threads > 1 {
-        let seq = run_incremental_churn(data, &["L0", "L1"], batches, stride, DrainStrategy::Sequential);
-        for (s, p) in seq.iter().zip(rows.iter()) {
-            assert_eq!(
-                (s.id.as_str(), s.mode, s.ops, s.reactivations, s.warm_batches),
-                (p.id.as_str(), p.mode, p.ops, p.reactivations, p.warm_batches),
-                "sharded churn maintenance diverged on {} ({})",
-                s.id, s.mode
-            );
-        }
-        println!(
-            "sharded drain ({threads} threads): work-count parity with the sequential drain holds"
-        );
-    }
 
     for pair in rows.chunks(2) {
         let (reev, delta) = (&pair[0], &pair[1]);
@@ -530,10 +421,8 @@ fn chi_backend(data: &Datasets, smoke: bool, out_path: &str) {
 /// per-bit); on top of that this driver gates the two headline wins —
 /// sparse/auto counter storage ≥4× below dense on the eagerly-seeding
 /// rare-predicate scenario, and strictly fewer drain row lookups under
-/// RLE χ on the run-structured scenario — and the parallel-seeding
-/// determinism (seed_threads is invisible to every counter).
+/// RLE χ on the run-structured scenario.
 fn slab(data: &Datasets, smoke: bool, out_path: &str) {
-    use dualsim_core::{DrainStrategy, FixpointMode, SolverConfig};
     println!("\n== Ablation: support-counter slabs (dense vs. sparse) + run-aware draining ==\n");
     let reps = if smoke { 1 } else { 3 };
     let rows = run_slab_ablation(data, reps);
@@ -611,42 +500,18 @@ fn slab(data: &Datasets, smoke: bool, out_path: &str) {
         s3_dense.row_lookups,
         s3_dense.row_lookups as f64 / s3_rle.row_lookups.max(1) as f64
     );
-    // Gate 3 — parallel-seeding determinism: 4 seeding threads (plus a
-    // sharded drain) must reproduce the sequential stats bit for bit,
-    // gauges included.
-    for (id, text) in dualsim_bench::SLAB_SPARSE_SCENARIOS {
-        let query = dualsim_query::parse(text).expect("scenario parses");
-        let base = SolverConfig {
-            fixpoint: FixpointMode::DeltaCounting,
-            ..SolverConfig::default()
-        };
-        let parallel = SolverConfig {
-            seed_threads: 4,
-            drain: DrainStrategy::Sharded { threads: 4 },
-            ..base.clone()
-        };
-        let seq = dualsim_core::solve_query(&data.lubm, &query, &base);
-        let par = dualsim_core::solve_query(&data.lubm, &query, &parallel);
-        assert_eq!(seq.len(), par.len(), "{id}");
-        for ((_, s), (_, p)) in seq.iter().zip(par.iter()) {
-            assert_eq!(s.chi, p.chi, "{id}: parallel seeding changed χ");
-            assert_eq!(s.stats, p.stats, "{id}: parallel seeding changed a counter");
-        }
-    }
-    println!("parallel seeding (4 threads): bit-identical stats on the sparse scenarios");
 }
 
 /// The word-kernel ablation: every workload query plus the S0–S3
 /// sparse scenarios and the S4 dense-saturation adversary, under both
-/// fixpoint engines × every kernel selection (scalar / unrolled / simd
-/// / auto). Emits `BENCH_kernels.json`. The hard gate is *work
+/// fixpoint engines × both kernel instantiations (scalar / simd). Emits `BENCH_kernels.json`. The hard gate is *work
 /// neutrality* — identical χ and logical counters for every kernel,
 /// asserted inside the run and re-checked on the emitted rows here; the
 /// wall-time comparison is evidence the committed report carries, never
 /// a smoke-mode assertion (timing is machine-dependent, the counters
 /// are not).
 fn kernels(data: &Datasets, smoke: bool, out_path: &str) {
-    println!("\n== Ablation: word-level kernels (scalar vs. unrolled vs. SIMD) ==\n");
+    println!("\n== Ablation: word-level kernels (scalar vs. SIMD) ==\n");
     let reps = if smoke { 1 } else { 5 };
     let rows = run_kernels_ablation(data, reps);
     let table: Vec<Vec<String>> = rows
@@ -708,14 +573,12 @@ fn kernels(data: &Datasets, smoke: bool, out_path: &str) {
                 .find(|r| r.id == scalar.id && r.mode == scalar.mode && r.backend == name)
                 .expect("kernel row exists")
         };
-        let (unrolled, simd) = (pick("unrolled"), pick("simd"));
+        let simd = pick("simd");
         println!(
-            "{} ({}): scalar {} | unrolled {} ({:.2}x) | simd→{} {} ({:.2}x)",
+            "{} ({}): scalar {} | simd→{} {} ({:.2}x)",
             scalar.id,
             scalar.mode,
             secs(scalar.wall),
-            secs(unrolled.wall),
-            scalar.wall.as_secs_f64() / unrolled.wall.as_secs_f64().max(1e-9),
             simd.resolved,
             secs(simd.wall),
             scalar.wall.as_secs_f64() / simd.wall.as_secs_f64().max(1e-9),
@@ -979,15 +842,10 @@ fn iterations(data: &Datasets) {
 /// failpoint site followed by a recovery that must land bit-identical
 /// on the committed prefix. Emits `BENCH_durability.json`; the hard
 /// gates double as the CI crash-recovery smoke step.
-fn durability(data: &Datasets, smoke: bool, threads: usize, out_path: &str) {
-    let drain = if threads > 1 {
-        DrainStrategy::Sharded { threads }
-    } else {
-        DrainStrategy::Sequential
-    };
+fn durability(data: &Datasets, smoke: bool, out_path: &str) {
     println!("\n== Durability: WAL overhead, snapshot size, recovery vs. cold rebuild ==\n");
     let (batches, stride) = if smoke { (4, 40) } else { (10, 25) };
-    let (rows, recoveries) = run_durability(data, &["L0", "L1"], batches, stride, drain);
+    let (rows, recoveries) = run_durability(data, &["L0", "L1"], batches, stride);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {

@@ -7,9 +7,9 @@
 //! unstable.
 //!
 //! The word-level inner loops (`∧`, `∨`, `∧¬`, subset, popcount, drain)
-//! route through the pluggable [`kernels`](crate::kernels) layer, so the
-//! per-solve [`KernelBackend`](crate::KernelBackend) selection applies
-//! to every `BitVec` operation uniformly.
+//! route through the [`kernels`](crate::kernels) layer, so the
+//! process's [`KernelBackend`](crate::KernelBackend) applies to every
+//! `BitVec` operation uniformly.
 
 use crate::kernels;
 

@@ -1,122 +1,71 @@
-//! Pluggable word-level kernels for the bitwise hot loops.
+//! Word-level kernels for the bitwise hot loops.
 //!
 //! Every hot path of the engine bottoms out in a handful of loops over
 //! `u64` blocks (`∧`, `∨`, `∧¬`, subset tests, popcounts, cleared-bit
 //! drains) or over compressed row indices (the `×b` OR-scatter and the
 //! counter-seeding increment-scatter). This module provides each of
-//! those inner loops in three interchangeable instantiations, selected
-//! per solve by [`KernelBackend`] (`SolverConfig::kernel_backend` /
-//! `sparqlsim --kernel-backend` in the downstream crates):
+//! those inner loops in two interchangeable instantiations
+//! ([`KernelBackend`]):
 //!
-//! * **`Scalar`** — the straightforward one-word-at-a-time loop;
-//! * **`Unrolled`** — a portable 4×-unrolled loop (one change/violation
-//!   accumulator per lane, folded once per chunk), which gives the
-//!   autovectorizer and the load/store units four independent chains;
+//! * **`Scalar`** — the straightforward one-word-at-a-time loop: the
+//!   reference semantics, and the only instantiation on hosts without
+//!   AVX2;
 //! * **`Simd`** — an explicit AVX2 `std::arch` path (256-bit lanes,
-//!   `vptest`-based early exits), compiled on `x86_64` and selected
-//!   only when `is_x86_feature_detected!` proves the CPU supports it;
-//!   on other architectures, or without AVX2 at runtime, a request for
-//!   `Simd` falls back to `Scalar`;
-//! * **`Auto`** — resolves to the best available instantiation (`Simd`
-//!   when detected, `Unrolled` otherwise).
+//!   `vptest`-based early exits), compiled on `x86_64` and runnable
+//!   only when `is_x86_feature_detected!` proves the CPU supports it.
 //!
-//! **Work-neutrality invariant.** All instantiations are bit-identical:
+//! **Work-neutrality invariant.** Both instantiations are bit-identical:
 //! same result words, same change flags, same drain order (ascending),
 //! same scatter effects. Kernels change how many *machine* operations a
 //! word loop costs, never how many *logical* operations the engine
 //! performs — `SolveStats::logical()` is untouched by the kernel
-//! choice, which is what lets the parity harness gate kernel swaps the
-//! same way it gates χ/slab backend swaps. The differential proptests
-//! in this crate pin every instantiation against `Scalar` at the word
-//! level (including tail-word boundaries).
+//! choice. The differential proptests in this crate pin `Simd` against
+//! `Scalar` at the word level (including tail-word boundaries).
 //!
-//! The *active* kernel is a process-wide resolved selection
-//! ([`KernelBackend::install`] / [`active`]): `BitVec` and `BitMatrix`
-//! route their inner loops through it with the dispatch hoisted to one
-//! relaxed atomic load per operation (or per multiply, for the scatter
-//! loops). Because every instantiation is bit-identical, concurrent
-//! solves installing different kernels can only ever change wall time,
-//! never results — the per-query plan in `dualsim-core` installs the
-//! configured kernel at solve start.
+//! **Selection.** The kernel is resolved once per process
+//! ([`KernelBackend::detected`]): `Simd` iff AVX2 is detected, else
+//! `Scalar`. `BitVec` and `BitMatrix` route their inner loops through
+//! [`active`] with the dispatch hoisted to one thread-local read per
+//! operation (or per multiply, for the scatter loops). The only way to
+//! run another kernel is the scoped, thread-local [`with_backend`]
+//! override used by parity tests and kernel benchmarks — it can never
+//! switch the kernel under a solve running on another thread.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::cell::Cell;
 
-/// Word-kernel backend selection, configured per solve
-/// (`SolverConfig::kernel_backend` in `dualsim-core`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// A word-kernel instantiation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelBackend {
-    /// One-word-at-a-time loops — the reference instantiation every
-    /// other backend is differentially tested against.
+    /// One-word-at-a-time loops — the reference instantiation `Simd`
+    /// is differentially tested against.
     Scalar,
-    /// Portable 4×-unrolled loops (four independent dependency chains
-    /// per iteration; no target-feature requirements).
-    Unrolled,
-    /// Explicit AVX2 (`std::arch`) 256-bit loops with runtime feature
-    /// detection; falls back to `Scalar` when AVX2 is unavailable.
+    /// Explicit AVX2 (`std::arch`) 256-bit loops; runs as `Scalar` when
+    /// AVX2 is unavailable.
     Simd,
-    /// Resolve to the best available instantiation at install time:
-    /// `Simd` when the CPU supports AVX2, `Unrolled` otherwise.
-    #[default]
-    Auto,
 }
 
 impl KernelBackend {
-    /// Parses a backend name (`scalar` / `unrolled` / `simd` / `auto`),
-    /// as accepted by the `sparqlsim --kernel-backend` flag.
-    pub fn from_name(name: &str) -> Option<KernelBackend> {
-        match name {
-            "scalar" => Some(KernelBackend::Scalar),
-            "unrolled" => Some(KernelBackend::Unrolled),
-            "simd" => Some(KernelBackend::Simd),
-            "auto" => Some(KernelBackend::Auto),
-            _ => None,
-        }
-    }
-
     /// The backend's display name.
     pub fn name(self) -> &'static str {
         match self {
             KernelBackend::Scalar => "scalar",
-            KernelBackend::Unrolled => "unrolled",
             KernelBackend::Simd => "simd",
-            KernelBackend::Auto => "auto",
         }
     }
 
-    /// Resolves the selection to a concrete, runnable instantiation:
-    /// `Auto` picks `Simd` when AVX2 is detected and `Unrolled`
-    /// otherwise; `Simd` without AVX2 support falls back to `Scalar`
-    /// (the conservative fallback an explicit request degrades to);
-    /// concrete selections resolve to themselves.
+    /// The process's kernel: `Simd` iff the CPU supports AVX2 (the
+    /// feature probe is cached process-wide by `std`), else `Scalar`.
+    pub fn detected() -> KernelBackend {
+        KernelBackend::Simd.resolve()
+    }
+
+    /// The instantiation that actually runs for this selection on this
+    /// machine: `Simd` without AVX2 support falls back to `Scalar`.
     pub fn resolve(self) -> KernelBackend {
         match self {
-            KernelBackend::Scalar => KernelBackend::Scalar,
-            KernelBackend::Unrolled => KernelBackend::Unrolled,
-            KernelBackend::Simd => {
-                if simd_available() {
-                    KernelBackend::Simd
-                } else {
-                    KernelBackend::Scalar
-                }
-            }
-            KernelBackend::Auto => {
-                if simd_available() {
-                    KernelBackend::Simd
-                } else {
-                    KernelBackend::Unrolled
-                }
-            }
+            KernelBackend::Simd if !simd_available() => KernelBackend::Scalar,
+            k => k,
         }
-    }
-
-    /// Resolves the selection ([`KernelBackend::resolve`]) and installs
-    /// it as the process-wide active kernel, returning the concrete
-    /// backend installed. Installation is a single relaxed atomic store
-    /// — cheap enough to run at every solve/maintenance entry point.
-    pub fn install(self) -> KernelBackend {
-        let concrete = self.resolve();
-        ACTIVE.store(encode(concrete), Ordering::Relaxed);
-        concrete
     }
 }
 
@@ -133,50 +82,59 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// The process-wide active kernel, always concrete. Before anything is
-/// installed this resolves `Auto` once (best available instantiation),
-/// so standalone `BitVec`/`BitMatrix` users get the fast loops too.
+thread_local! {
+    /// This thread's kernel: `None` until first use, then the detected
+    /// kernel or a [`with_backend`] override.
+    static ACTIVE: Cell<Option<KernelBackend>> = const { Cell::new(None) };
+}
+
+/// The kernel the calling thread runs, always runnable on this machine:
+/// the innermost [`with_backend`] override, else
+/// [`KernelBackend::detected`].
+#[inline]
 pub fn active() -> KernelBackend {
-    match ACTIVE.load(Ordering::Relaxed) {
-        UNRESOLVED => KernelBackend::Auto.install(),
-        raw => decode(raw),
-    }
+    ACTIVE.with(|cell| match cell.get() {
+        Some(k) => k,
+        None => {
+            let k = KernelBackend::detected();
+            cell.set(Some(k));
+            k
+        }
+    })
 }
 
-const UNRESOLVED: u8 = u8::MAX;
-static ACTIVE: AtomicU8 = AtomicU8::new(UNRESOLVED);
-
-fn encode(k: KernelBackend) -> u8 {
-    match k {
-        KernelBackend::Scalar => 0,
-        KernelBackend::Unrolled => 1,
-        KernelBackend::Simd => 2,
-        KernelBackend::Auto => UNRESOLVED,
+/// Runs `f` with the calling thread's kernel overridden to `k`
+/// (resolved: `Simd` without AVX2 runs `Scalar`), restoring the
+/// previous kernel afterwards, also on unwind. Other threads are never
+/// affected. Meant for kernel parity tests and kernel benchmarks only.
+#[doc(hidden)]
+pub fn with_backend<R>(k: KernelBackend, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<KernelBackend>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            ACTIVE.with(|cell| cell.set(self.0));
+        }
     }
-}
-
-fn decode(raw: u8) -> KernelBackend {
-    match raw {
-        0 => KernelBackend::Scalar,
-        1 => KernelBackend::Unrolled,
-        _ => KernelBackend::Simd,
-    }
+    let _restore = Restore(ACTIVE.with(|cell| cell.replace(Some(k.resolve()))));
+    f()
 }
 
 // ---------------------------------------------------------------------
-// Dispatchers: one relaxed load + one jump per operation. The `_with`
-// variants take an explicit (concrete) backend so callers can hoist
-// the dispatch out of their own loops and the differential proptests
-// can pin each instantiation deterministically.
+// Dispatchers: one thread-local read + one jump per operation. The
+// `_with` variants take an explicit backend so callers can hoist the
+// dispatch out of their own loops and the differential proptests can
+// pin each instantiation deterministically.
 // ---------------------------------------------------------------------
 
 macro_rules! dispatch {
-    ($k:expr, $scalar:expr, $unrolled:expr, $simd:expr) => {
+    ($k:expr, $scalar:expr, $simd:expr) => {
         match $k {
-            KernelBackend::Scalar | KernelBackend::Auto => $scalar,
-            KernelBackend::Unrolled => $unrolled,
-            // `resolve` only ever yields `Simd` when `simd_available`
-            // held, so the target-feature call is safe here.
+            KernelBackend::Scalar => $scalar,
+            // SAFETY: the AVX2 instantiations require AVX2 + POPCNT.
+            // `Simd` reaches a dispatcher only through `active` (which
+            // holds `resolve`d backends: `Simd` iff `simd_available`) or
+            // from the in-crate tests, which pass it only when
+            // `simd_available` holds.
             #[cfg(target_arch = "x86_64")]
             KernelBackend::Simd => unsafe { $simd },
             #[cfg(not(target_arch = "x86_64"))]
@@ -191,10 +149,10 @@ pub(crate) fn and_assign_words(a: &mut [u64], b: &[u64]) -> bool {
     and_assign_words_with(active(), a, b)
 }
 
-/// [`and_assign_words`] under an explicit concrete backend.
+/// [`and_assign_words`] under an explicit backend.
 #[inline]
 pub(crate) fn and_assign_words_with(k: KernelBackend, a: &mut [u64], b: &[u64]) -> bool {
-    dispatch!(k, and_scalar(a, b), and_unrolled(a, b), and_avx2(a, b))
+    dispatch!(k, and_scalar(a, b), and_avx2(a, b))
 }
 
 /// `a[i] |= b[i]` over all words; returns `true` iff any word changed.
@@ -203,10 +161,10 @@ pub(crate) fn or_assign_words(a: &mut [u64], b: &[u64]) -> bool {
     or_assign_words_with(active(), a, b)
 }
 
-/// [`or_assign_words`] under an explicit concrete backend.
+/// [`or_assign_words`] under an explicit backend.
 #[inline]
 pub(crate) fn or_assign_words_with(k: KernelBackend, a: &mut [u64], b: &[u64]) -> bool {
-    dispatch!(k, or_scalar(a, b), or_unrolled(a, b), or_avx2(a, b))
+    dispatch!(k, or_scalar(a, b), or_avx2(a, b))
 }
 
 /// `a[i] &= !b[i]` over all words; returns `true` iff any word changed.
@@ -215,15 +173,10 @@ pub(crate) fn and_not_assign_words(a: &mut [u64], b: &[u64]) -> bool {
     and_not_assign_words_with(active(), a, b)
 }
 
-/// [`and_not_assign_words`] under an explicit concrete backend.
+/// [`and_not_assign_words`] under an explicit backend.
 #[inline]
 pub(crate) fn and_not_assign_words_with(k: KernelBackend, a: &mut [u64], b: &[u64]) -> bool {
-    dispatch!(
-        k,
-        and_not_scalar(a, b),
-        and_not_unrolled(a, b),
-        and_not_avx2(a, b)
-    )
+    dispatch!(k, and_not_scalar(a, b), and_not_avx2(a, b))
 }
 
 /// `true` iff `a[i] & !b[i] == 0` for every word (subset test), with an
@@ -233,15 +186,10 @@ pub(crate) fn is_subset_words(a: &[u64], b: &[u64]) -> bool {
     is_subset_words_with(active(), a, b)
 }
 
-/// [`is_subset_words`] under an explicit concrete backend.
+/// [`is_subset_words`] under an explicit backend.
 #[inline]
 pub(crate) fn is_subset_words_with(k: KernelBackend, a: &[u64], b: &[u64]) -> bool {
-    dispatch!(
-        k,
-        subset_scalar(a, b),
-        subset_unrolled(a, b),
-        subset_avx2(a, b)
-    )
+    dispatch!(k, subset_scalar(a, b), subset_avx2(a, b))
 }
 
 /// Total popcount over all words.
@@ -250,24 +198,24 @@ pub(crate) fn count_ones_words(a: &[u64]) -> usize {
     count_ones_words_with(active(), a)
 }
 
-/// [`count_ones_words`] under an explicit concrete backend.
+/// [`count_ones_words`] under an explicit backend.
 #[inline]
 pub(crate) fn count_ones_words_with(k: KernelBackend, a: &[u64]) -> usize {
-    dispatch!(k, count_scalar(a), count_unrolled(a), count_avx2(a))
+    dispatch!(k, count_scalar(a), count_avx2(a))
 }
 
 /// `a[i] &= b[i]` over all words, appending the absolute bit index of
 /// every cleared bit to `removed` in ascending order; returns `true`
-/// iff any word changed. The unrolled/SIMD instantiations only buy a
-/// faster *scan* for words with cleared bits — decode order is
-/// identical across backends (the delta engine's removal log is part
-/// of the bit-identical contract).
+/// iff any word changed. The SIMD instantiation only buys a faster
+/// *scan* for words with cleared bits — decode order is identical
+/// across backends (the delta engine's removal log is part of the
+/// bit-identical contract).
 #[inline]
 pub(crate) fn drain_cleared_words(a: &mut [u64], b: &[u64], removed: &mut Vec<u32>) -> bool {
     drain_cleared_words_with(active(), a, b, removed)
 }
 
-/// [`drain_cleared_words`] under an explicit concrete backend.
+/// [`drain_cleared_words`] under an explicit backend.
 #[inline]
 pub(crate) fn drain_cleared_words_with(
     k: KernelBackend,
@@ -275,42 +223,35 @@ pub(crate) fn drain_cleared_words_with(
     b: &[u64],
     removed: &mut Vec<u32>,
 ) -> bool {
-    dispatch!(
-        k,
-        drain_scalar(a, b, removed),
-        drain_unrolled(a, b, removed),
-        drain_avx2(a, b, removed)
-    )
+    dispatch!(k, drain_scalar(a, b, removed), drain_avx2(a, b, removed))
 }
 
 /// OR-scatter: sets bit `i` of the block array for every index in
-/// `indices` (the inner loop of the row-wise `×b` accumulation). Not a
-/// word-parallel shape — `Simd` shares the unrolled instantiation.
+/// `indices` (the inner loop of the row-wise `×b` accumulation).
 #[inline]
 pub(crate) fn or_scatter(blocks: &mut [u64], indices: &[u32]) {
     or_scatter_with(active(), blocks, indices)
 }
 
-/// [`or_scatter`] under an explicit concrete backend.
+/// [`or_scatter`] under an explicit backend. Not a word-parallel shape:
+/// `Simd` runs a portable 4×-unrolled loop.
 #[inline]
 pub(crate) fn or_scatter_with(k: KernelBackend, blocks: &mut [u64], indices: &[u32]) {
     match k {
-        KernelBackend::Scalar | KernelBackend::Auto => or_scatter_scalar(blocks, indices),
-        KernelBackend::Unrolled | KernelBackend::Simd => or_scatter_unrolled(blocks, indices),
+        KernelBackend::Scalar => or_scatter_scalar(blocks, indices),
+        KernelBackend::Simd => or_scatter_unrolled(blocks, indices),
     }
 }
 
-/// Increment-scatter under an explicit concrete backend: `counts[i] +=
-/// 1` for every index in `indices` (the inner loop of the
-/// counter-seeding `count_into`, which hoists the dispatch per seed).
-/// Not a word-parallel shape — `Simd` shares the unrolled instantiation.
+/// Increment-scatter under an explicit backend: `counts[i] += 1` for
+/// every index in `indices` (the inner loop of the counter-seeding
+/// `count_into`, which hoists the dispatch per seed). Not a
+/// word-parallel shape: `Simd` runs a portable 4×-unrolled loop.
 #[inline]
 pub(crate) fn increment_scatter_with(k: KernelBackend, counts: &mut [u32], indices: &[u32]) {
     match k {
-        KernelBackend::Scalar | KernelBackend::Auto => increment_scatter_scalar(counts, indices),
-        KernelBackend::Unrolled | KernelBackend::Simd => {
-            increment_scatter_unrolled(counts, indices)
-        }
+        KernelBackend::Scalar => increment_scatter_scalar(counts, indices),
+        KernelBackend::Simd => increment_scatter_unrolled(counts, indices),
     }
 }
 
@@ -394,107 +335,10 @@ fn increment_scatter_scalar(counts: &mut [u32], indices: &[u32]) {
 }
 
 // ---------------------------------------------------------------------
-// Portable 4×-unrolled instantiations. Change detection accumulates
-// XOR differences per lane and folds once per chunk — boolean-identical
-// to the per-word comparison.
+// Portable 4×-unrolled scatter loops (the `Simd` backend's scatter:
+// AVX2 has no scatter, but four independent read-modify-writes per
+// iteration still help the load/store units).
 // ---------------------------------------------------------------------
-
-macro_rules! unrolled_assign {
-    ($name:ident, $op:expr) => {
-        fn $name(a: &mut [u64], b: &[u64]) -> bool {
-            let op = $op;
-            let whole = a.len() & !3;
-            let (a4, a_tail) = a.split_at_mut(whole);
-            let (b4, b_tail) = b.split_at(whole);
-            let mut diff = 0u64;
-            for (ca, cb) in a4.chunks_exact_mut(4).zip(b4.chunks_exact(4)) {
-                let n0 = op(ca[0], cb[0]);
-                let n1 = op(ca[1], cb[1]);
-                let n2 = op(ca[2], cb[2]);
-                let n3 = op(ca[3], cb[3]);
-                diff |= (n0 ^ ca[0]) | (n1 ^ ca[1]) | (n2 ^ ca[2]) | (n3 ^ ca[3]);
-                ca[0] = n0;
-                ca[1] = n1;
-                ca[2] = n2;
-                ca[3] = n3;
-            }
-            for (x, &y) in a_tail.iter_mut().zip(b_tail) {
-                let new = op(*x, y);
-                diff |= new ^ *x;
-                *x = new;
-            }
-            diff != 0
-        }
-    };
-}
-
-unrolled_assign!(and_unrolled, |x: u64, y: u64| x & y);
-unrolled_assign!(or_unrolled, |x: u64, y: u64| x | y);
-unrolled_assign!(and_not_unrolled, |x: u64, y: u64| x & !y);
-
-fn subset_unrolled(a: &[u64], b: &[u64]) -> bool {
-    let whole = a.len() & !3;
-    for (ca, cb) in a[..whole].chunks_exact(4).zip(b[..whole].chunks_exact(4)) {
-        let v = (ca[0] & !cb[0]) | (ca[1] & !cb[1]) | (ca[2] & !cb[2]) | (ca[3] & !cb[3]);
-        if v != 0 {
-            return false;
-        }
-    }
-    a[whole..].iter().zip(&b[whole..]).all(|(&x, &y)| x & !y == 0)
-}
-
-fn count_unrolled(a: &[u64]) -> usize {
-    let whole = a.len() & !3;
-    let mut c0 = 0usize;
-    let mut c1 = 0usize;
-    let mut c2 = 0usize;
-    let mut c3 = 0usize;
-    for ca in a[..whole].chunks_exact(4) {
-        c0 += ca[0].count_ones() as usize;
-        c1 += ca[1].count_ones() as usize;
-        c2 += ca[2].count_ones() as usize;
-        c3 += ca[3].count_ones() as usize;
-    }
-    c0 + c1 + c2 + c3 + a[whole..].iter().map(|x| x.count_ones() as usize).sum::<usize>()
-}
-
-fn drain_unrolled(a: &mut [u64], b: &[u64], removed: &mut Vec<u32>) -> bool {
-    let whole = a.len() & !3;
-    let mut changed = false;
-    let mut bi = 0usize;
-    {
-        let (a4, _) = a.split_at_mut(whole);
-        let (b4, _) = b.split_at(whole);
-        for (ca, cb) in a4.chunks_exact_mut(4).zip(b4.chunks_exact(4)) {
-            let c0 = ca[0] & !cb[0];
-            let c1 = ca[1] & !cb[1];
-            let c2 = ca[2] & !cb[2];
-            let c3 = ca[3] & !cb[3];
-            // Fast skip: most chunks clear nothing in late drain rounds.
-            if c0 | c1 | c2 | c3 != 0 {
-                changed = true;
-                ca[0] &= cb[0];
-                ca[1] &= cb[1];
-                ca[2] &= cb[2];
-                ca[3] &= cb[3];
-                push_cleared(bi, c0, removed);
-                push_cleared(bi + 1, c1, removed);
-                push_cleared(bi + 2, c2, removed);
-                push_cleared(bi + 3, c3, removed);
-            }
-            bi += 4;
-        }
-    }
-    for (off, (x, &y)) in a[whole..].iter_mut().zip(&b[whole..]).enumerate() {
-        let cleared = *x & !y;
-        if cleared != 0 {
-            changed = true;
-            *x &= y;
-            push_cleared(whole + off, cleared, removed);
-        }
-    }
-    changed
-}
 
 fn or_scatter_unrolled(blocks: &mut [u64], indices: &[u32]) {
     let mut chunks = indices.chunks_exact(4);
@@ -613,7 +457,16 @@ mod avx2 {
     /// guarantees the hardware instruction for each lane.
     #[target_feature(enable = "avx2,popcnt")]
     pub(super) unsafe fn count_avx2(a: &[u64]) -> usize {
-        super::count_unrolled(a)
+        let whole = a.len() & !3;
+        let mut c = [0usize; 4];
+        for ca in a[..whole].chunks_exact(4) {
+            c[0] += ca[0].count_ones() as usize;
+            c[1] += ca[1].count_ones() as usize;
+            c[2] += ca[2].count_ones() as usize;
+            c[3] += ca[3].count_ones() as usize;
+        }
+        let tail: usize = a[whole..].iter().map(|x| x.count_ones() as usize).sum();
+        c.iter().sum::<usize>() + tail
     }
 
     /// # Safety
@@ -656,12 +509,12 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 use avx2::{and_avx2, and_not_avx2, count_avx2, drain_avx2, or_avx2, subset_avx2};
 
-/// Concrete instantiations testable on this machine: always scalar +
-/// unrolled, plus SIMD when the CPU supports it. Used by the in-crate
-/// differential tests and proptests.
+/// Instantiations testable on this machine: always scalar, plus SIMD
+/// when the CPU supports it. Used by the in-crate differential tests
+/// and proptests.
 #[cfg(test)]
 pub(crate) fn testable_backends() -> Vec<KernelBackend> {
-    let mut v = vec![KernelBackend::Scalar, KernelBackend::Unrolled];
+    let mut v = vec![KernelBackend::Scalar];
     if simd_available() {
         v.push(KernelBackend::Simd);
     }
@@ -673,52 +526,50 @@ mod tests {
     use super::*;
 
     #[test]
-    fn names_round_trip() {
-        for k in [
-            KernelBackend::Scalar,
-            KernelBackend::Unrolled,
-            KernelBackend::Simd,
-            KernelBackend::Auto,
-        ] {
-            assert_eq!(KernelBackend::from_name(k.name()), Some(k));
-        }
-        assert_eq!(KernelBackend::from_name("avx2"), None);
-    }
-
-    #[test]
     fn resolve_is_concrete_and_runnable() {
-        for k in [
-            KernelBackend::Scalar,
-            KernelBackend::Unrolled,
-            KernelBackend::Simd,
-            KernelBackend::Auto,
-        ] {
-            let concrete = k.resolve();
-            assert_ne!(concrete, KernelBackend::Auto, "{k:?}");
-            if concrete == KernelBackend::Simd {
-                assert!(simd_available());
-            }
-        }
         assert_eq!(KernelBackend::Scalar.resolve(), KernelBackend::Scalar);
-        assert_eq!(KernelBackend::Unrolled.resolve(), KernelBackend::Unrolled);
-        if !simd_available() {
-            assert_eq!(KernelBackend::Simd.resolve(), KernelBackend::Scalar);
-            assert_eq!(KernelBackend::Auto.resolve(), KernelBackend::Unrolled);
-        }
+        assert_eq!(
+            KernelBackend::Simd.resolve() == KernelBackend::Simd,
+            simd_available()
+        );
+        assert_eq!(KernelBackend::detected(), KernelBackend::Simd.resolve());
     }
 
     #[test]
     fn active_is_always_concrete() {
-        assert_ne!(active(), KernelBackend::Auto);
-        let installed = KernelBackend::Auto.install();
-        assert_eq!(active(), installed);
+        assert_eq!(active(), KernelBackend::detected());
+        let inner = with_backend(KernelBackend::Scalar, || {
+            // Nested overrides restore the enclosing one.
+            with_backend(KernelBackend::Simd, || {
+                assert_eq!(active(), KernelBackend::Simd.resolve());
+            });
+            active()
+        });
+        assert_eq!(inner, KernelBackend::Scalar);
+        assert_eq!(active(), KernelBackend::detected());
+        // The override is per thread: a scoped override on another
+        // thread never changes this thread's kernel.
+        with_backend(KernelBackend::Scalar, || {
+            let other = std::thread::spawn(active).join().unwrap();
+            assert_eq!(other, KernelBackend::detected());
+        });
+    }
+
+    #[test]
+    fn override_is_restored_on_unwind() {
+        let before = active();
+        let caught = std::panic::catch_unwind(|| {
+            with_backend(KernelBackend::Scalar, || panic!("inside the override"))
+        });
+        assert!(caught.is_err());
+        assert_eq!(active(), before);
     }
 
     #[test]
     fn every_backend_matches_scalar_on_fixed_vectors() {
         // Deterministic multi-block vectors with tail words; the
         // proptests fuzz the same property over random lengths.
-        let n = 11usize; // not a multiple of 4: exercises unrolled tails
+        let n = 11usize; // not a multiple of 4: exercises SIMD tails
         let a0: Vec<u64> = (0..n).map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect();
         let b0: Vec<u64> = (0..n)
             .map(|i| (i as u64 ^ 0xABCD).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))

@@ -23,9 +23,9 @@
 //! The solver in `dualsim-core` switches between the two dynamically
 //! (Sect. 3.3 of the paper).
 //!
-//! All bitwise inner loops bottom out in the pluggable word-level
-//! [`kernels`] layer ([`KernelBackend`]): scalar, portable 4×-unrolled,
-//! and runtime-detected AVX2 instantiations, all bit-identical.
+//! All bitwise inner loops bottom out in the word-level [`kernels`]
+//! layer ([`KernelBackend`]): a scalar and a runtime-detected AVX2
+//! instantiation, bit-identical, resolved once per process.
 
 #![warn(missing_docs)]
 

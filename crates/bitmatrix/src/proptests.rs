@@ -441,7 +441,7 @@ proptest! {
     /// Differential fuzz of the word kernels: every backend agrees with
     /// `Scalar` on result words, change flags, subset verdicts, counts
     /// and the (ordered) drain log — on random word-array lengths,
-    /// including the unrolled/SIMD tail boundaries (lengths not a
+    /// including the SIMD tail boundaries (lengths not a
     /// multiple of 4) and all-zero/all-one words.
     #[test]
     fn kernel_backends_match_scalar_wordwise(pair in arb_word_pair()) {

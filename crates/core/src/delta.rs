@@ -34,24 +34,14 @@
 //!   solves that never violate an inequality never pay its
 //!   `counter_inits` (`seeds_deferred` / `lazy_seeds` in
 //!   [`SolveStats`]).
-//! * **Sharded draining.** The worklist is drained in *rounds*: each
-//!   round freezes χ, shards the pending removals by inequality (the
-//!   counter slabs are disjoint per inequality, the same disjointness
-//!   `prune_with_threads` exploits for edge units), computes every
-//!   shard's decrements and removal proposals independently, and merges
-//!   the proposals into χ in inequality order. Under
-//!   [`DrainStrategy::Sharded`] the shard phase fans out over
-//!   `std::thread::scope` workers; the merge is the only
-//!   cross-inequality χ handoff. Sequential and sharded drains execute
-//!   the same logical algorithm, so χ **and every work counter** are
-//!   bit-identical across strategies and thread counts (pinned by
-//!   `crate::proptests`).
-//! * **Parallel eager seeding.** The eager seeds at
-//!   [`DeltaSolver::from_chi`] are independent per inequality, so under
-//!   `SolverConfig::seed_threads > 1` they ride the same
-//!   take-slab/scoped-worker/merge machinery as the drain shards —
-//!   another cold-solve win on multi-edge queries, invisible to every
-//!   counter.
+//! * **Round-based draining.** The worklist is drained in *rounds*:
+//!   each round freezes χ, shards the pending removals by inequality
+//!   (the counter slabs are disjoint per inequality), computes every
+//!   shard's decrements and removal proposals against the frozen χ,
+//!   and merges the proposals into χ in inequality order. The round
+//!   structure fixes the decrement and proposal order, so χ **and
+//!   every work counter** are bit-identical across χ/slab backends and
+//!   word kernels (pinned by `crate::proptests`).
 //! * **Pluggable slab storage.** Support counters go through
 //!   `SolverConfig::slab_backend` the way χ goes through
 //!   `chi_backend`: dense `u32` arrays or sparse hash counters (one
@@ -84,7 +74,6 @@
 //! [`crate::IncrementalDualSim`].
 //!
 //! [`FixpointMode::DeltaCounting`]: crate::FixpointMode::DeltaCounting
-//! [`DrainStrategy::Sharded`]: crate::DrainStrategy::Sharded
 //! [`CounterSlab`]: dualsim_bitmatrix::CounterSlab
 //! [`SolveStats`]: crate::SolveStats
 
@@ -126,8 +115,7 @@ enum JournalOp {
     Killed { chi: Vec<ChiVec> },
 }
 
-/// The undo state captured by [`DeltaSolver::begin_epoch`] when
-/// `SolverConfig::journal` is on.
+/// The undo state captured by [`DeltaSolver::begin_epoch`].
 #[derive(Debug, Clone)]
 struct Journal {
     ops: Vec<JournalOp>,
@@ -147,10 +135,7 @@ struct Journal {
 /// pre-batch state instead of leaving half-applied counters.
 #[derive(Debug, Clone)]
 struct Epoch {
-    /// `None` iff `SolverConfig::journal` is off — the epoch then still
-    /// scopes the drain budget and failpoints, but an abort cannot
-    /// restore state and poisons the engine instead.
-    journal: Option<Journal>,
+    journal: Journal,
     /// [`SolveStats::work_ops`] at epoch begin: the drain budget bounds
     /// the work *of this batch*, not the engine's lifetime total.
     work_at_begin: usize,
@@ -187,10 +172,10 @@ fn unsupported<'a>(slab: &'a CounterSlab, chi: &'a ChiVec) -> impl Iterator<Item
 }
 
 /// One drain-round work unit: a labeled edge inequality whose source
-/// variable shrank this round, with exclusive ownership of its counter
-/// slab. Units are processed against a frozen χ — inline or on a scoped
-/// worker thread — and report their proposed target removals plus work
-/// counters back to the merge step.
+/// variable shrank this round. Units are processed against a frozen χ
+/// (each touching only its own inequality's counter slab) and report
+/// their proposed target removals plus work counters back to the merge
+/// step.
 #[derive(Debug, Clone)]
 struct ShardUnit {
     ineq: u32,
@@ -202,7 +187,6 @@ struct ShardUnit {
     /// segment lookup per run ([`BitMatrix::rows_segment`]) — enabled
     /// when χ is RLE, where one round's removals routinely coalesce.
     run_aware: bool,
-    slab: CounterSlab,
     /// Target nodes whose support hit zero (candidates to remove).
     proposals: Vec<u32>,
     decrements: usize,
@@ -211,9 +195,8 @@ struct ShardUnit {
     inits: usize,
     lazy_seeded: bool,
     /// Columns decremented this round, recorded for the rollback
-    /// journal (`Some` iff the drain runs inside a journaling epoch);
-    /// the merge step folds them into the epoch's undo log on the
-    /// coordinator thread.
+    /// journal (`Some` iff the drain runs inside an epoch); the merge
+    /// step folds them into the epoch's undo log.
     journal: Option<Vec<u32>>,
 }
 
@@ -224,19 +207,19 @@ impl ShardUnit {
     /// *identical* decrement sequence — a run's CSR segment is exactly
     /// the concatenation of its rows in ascending order — and every
     /// logical counter stays bit-identical across χ backends).
-    fn process(&mut self, db: &GraphDb, removals: &[u32], chi: &[ChiVec]) {
+    fn process(&mut self, db: &GraphDb, removals: &[u32], slab: &mut CounterSlab, chi: &[ChiVec]) {
         let matrix = multiply_matrix(db, self.label, self.forward);
-        if !self.slab.is_seeded() {
+        if !slab.is_seeded() {
             // First touch of a deferred inequality. χ(source) already
             // excludes this round's removals (bits are cleared before
             // they are enqueued), so the seed absorbs the whole batch
             // and no per-removal decrement may run this round. The
             // deferred enforcement happens here instead: every target
             // candidate without support is proposed for removal.
-            self.inits = self.slab.seed(matrix, &chi[self.source as usize]);
+            self.inits = slab.seed(matrix, &chi[self.source as usize]);
             self.lazy_seeded = true;
             self.proposals
-                .extend(unsupported(&self.slab, &chi[self.target as usize]));
+                .extend(unsupported(slab, &chi[self.target as usize]));
             return;
         }
         let target = &chi[self.target as usize];
@@ -245,7 +228,6 @@ impl ShardUnit {
         // appends proposals while the slab is exclusively borrowed by
         // `decrement_collect`.
         let ShardUnit {
-            slab,
             proposals,
             decrements,
             row_lookups,
@@ -287,28 +269,6 @@ impl ShardUnit {
                 drain(matrix.row(u as usize));
             }
         }
-    }
-}
-
-/// One parallel-seeding work unit of [`DeltaSolver::from_chi`]: an
-/// eagerly-seeded edge inequality with exclusive ownership of its (still
-/// unseeded) counter slab. Jobs are independent — disjoint slabs, frozen
-/// χ, read-only matrices — so they fan out over scoped worker threads
-/// exactly like drain shards, and the merge folds `inits` in inequality
-/// order (the sum is thread-count independent either way).
-struct SeedJob {
-    ineq: usize,
-    source: usize,
-    label: u32,
-    forward: bool,
-    slab: CounterSlab,
-    inits: usize,
-}
-
-impl SeedJob {
-    fn run(&mut self, db: &GraphDb, chi: &[ChiVec]) {
-        let matrix = multiply_matrix(db, self.label, self.forward);
-        self.inits = self.slab.seed(matrix, &chi[self.source]);
     }
 }
 
@@ -385,7 +345,7 @@ pub(crate) struct DeltaSolver {
     /// and commit/abort); cold solves never open one.
     epoch: Option<Epoch>,
     /// Set when a batch was aborted without a trustworthy rollback
-    /// (budget exhaustion, rollback failure, journaling off): the state
+    /// (budget exhaustion, rollback failure): the state
     /// may be inconsistent, so every further maintenance call refuses
     /// with [`MaintainError::Poisoned`] until the owner rebuilds from a
     /// cold solve.
@@ -574,11 +534,9 @@ impl DeltaSolver {
             initial_candidates: counts.iter().sum(),
             ..SolveStats::default()
         };
-        // One plan resolution pins every pluggable axis — χ backend,
-        // slab backend, drain, word kernel — for the whole engine
-        // lifetime; the hot loops below never re-decide.
+        // One plan resolution pins the χ and slab backends for the
+        // whole engine lifetime; the hot loops below never re-decide.
         let plan = SolvePlan::resolve(config, stats.initial_candidates, nv, db.num_nodes());
-        plan.install_kernel();
         plan.apply_chi(&mut chi);
         let chi_word_total = chi_words(&chi);
         stats.observe_chi_words(chi_word_total);
@@ -632,15 +590,7 @@ impl DeltaSolver {
         // defers both its seeding and its enforcement to the first touch
         // by a removal (the deferral stays sound because any later
         // shrink of χ(source) goes through the worklist and seeds it).
-        //
-        // The eager seeds are independent per inequality — disjoint
-        // slabs, frozen χ, read-only matrices — so under
-        // `SolverConfig::seed_threads > 1` they fan out over scoped
-        // worker threads through the same take-slab/merge machinery the
-        // drain shards use; `counter_inits` folds in inequality order
-        // and is bit-identical for every thread count.
         let mut deferred = vec![false; soi.ineqs.len()];
-        let mut jobs: Vec<SeedJob> = Vec::new();
         for (i, ineq) in soi.ineqs.iter().enumerate() {
             let Inequality::Edge {
                 target,
@@ -659,38 +609,9 @@ impl DeltaSolver {
                 solver.stats.seeds_deferred += 1;
                 deferred[i] = true;
             } else {
-                jobs.push(SeedJob {
-                    ineq: i,
-                    source,
-                    label: a,
-                    forward,
-                    slab: std::mem::take(&mut solver.support[i]),
-                    inits: 0,
-                });
+                solver.stats.counter_inits += solver.support[i].seed(matrix, &solver.chi[source]);
+                solver.slab_word_total += solver.support[i].storage_words();
             }
-        }
-        let seed_workers = config.seed_threads.max(1).min(jobs.len());
-        if seed_workers <= 1 {
-            for job in &mut jobs {
-                job.run(db, &solver.chi);
-            }
-        } else {
-            let chi = &solver.chi;
-            let chunk = jobs.len().div_ceil(seed_workers);
-            std::thread::scope(|scope| {
-                for shard in jobs.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for job in shard {
-                            job.run(db, chi);
-                        }
-                    });
-                }
-            });
-        }
-        for job in jobs {
-            solver.stats.counter_inits += job.inits;
-            solver.slab_word_total += job.slab.storage_words();
-            solver.support[job.ineq] = job.slab;
         }
         solver.stats.observe_slab_words(solver.slab_word_total);
 
@@ -825,7 +746,7 @@ impl DeltaSolver {
             };
         }
         validate_batch(db_after, deleted)?;
-        self.begin_epoch(config);
+        self.begin_epoch();
         let result = self.retract_inner(db_after, soi, config, deleted);
         self.finish_epoch(result, hook)
     }
@@ -1015,7 +936,7 @@ impl DeltaSolver {
             .map(|()| true);
         }
         validate_batch(db_after, inserted)?;
-        self.begin_epoch(config);
+        self.begin_epoch();
         let result = self.insert_inner(db_after, soi, config, inserted);
         self.finish_epoch(result, hook)?;
         Ok(true)
@@ -1331,17 +1252,14 @@ impl DeltaSolver {
         count
     }
 
-    /// Appends one undo record to the epoch journal. Outside an epoch —
-    /// or with journaling off — this is a branch and nothing else, so
-    /// cold solves pay (almost) nothing for passing through the
-    /// journaled mutation helpers.
+    /// Appends one undo record to the epoch journal. Outside an epoch
+    /// this is a branch and nothing else, so cold solves pay (almost)
+    /// nothing for passing through the journaled mutation helpers.
     #[inline]
     fn journal_op(&mut self, op: JournalOp) {
         if let Some(epoch) = &mut self.epoch {
-            if let Some(journal) = &mut epoch.journal {
-                journal.ops.push(op);
-                self.stats.journal_entries += 1;
-            }
+            epoch.journal.ops.push(op);
+            self.stats.journal_entries += 1;
         }
     }
 
@@ -1362,10 +1280,9 @@ impl DeltaSolver {
     }
 
     /// Drains the removal worklist in rounds. Each round freezes χ,
-    /// shards the pending removals by inequality, runs the shard phase
-    /// (inline or across scoped threads, per [`SolverConfig::drain`] —
-    /// the logical work is identical either way), and merges the
-    /// proposed removals back into χ in inequality order. Returns
+    /// shards the pending removals by inequality, runs every shard
+    /// against the frozen χ, and merges the proposed removals back into
+    /// χ in inequality order. Returns
     /// `Ok(true)` iff an early exit triggered (the state must then be
     /// killed).
     ///
@@ -1376,31 +1293,19 @@ impl DeltaSolver {
     /// too. Outside an epoch (cold solves) neither check runs and the
     /// `Err` arm is unreachable.
     ///
-    /// Two invisible-to-the-counters engineering details:
-    ///
-    /// * **O(touched) round assembly.** The round's shard units and
-    ///   merge agenda are looked up through the `edge_ineqs_by_source` /
-    ///   `subset_ineqs_by_sup` indexes and the per-round buffers
-    ///   (`by_var`, `touched_vars`, `agenda`, `units`, proposal pool)
-    ///   are persistent scratch, so a deep cascade that clears one
-    ///   candidate per round costs O(its own work), not
-    ///   O(#vars + #ineqs) per round.
-    /// * **Adaptive threading.** A round whose batch is smaller than
-    ///   [`SolverConfig::drain_inline_below`] runs its shards inline
-    ///   even under [`crate::DrainStrategy::Sharded`] — same algorithm,
-    ///   same χ, same counters, no thread-spawn overhead for a handful
-    ///   of removals.
+    /// **O(touched) round assembly.** The round's shard units and merge
+    /// agenda are looked up through the `edge_ineqs_by_source` /
+    /// `subset_ineqs_by_sup` indexes and the per-round buffers (`by_var`,
+    /// `touched_vars`, `agenda`, `units`, proposal pool) are persistent
+    /// scratch, so a deep cascade that clears one candidate per round
+    /// costs O(its own work), not O(#vars + #ineqs) per round.
     fn drain(
         &mut self,
         db: &GraphDb,
         soi: &Soi,
         config: &SolverConfig,
     ) -> Result<bool, MaintainError> {
-        let thread_budget = config.drain.threads();
-        let journaling = self
-            .epoch
-            .as_ref()
-            .is_some_and(|epoch| epoch.journal.is_some());
+        let journaling = self.epoch.is_some();
         while !self.queue.is_empty() {
             // Cooperative cancellation at the round boundary: the queue
             // is intact and the scratch buffers are clean, so an Err
@@ -1426,7 +1331,7 @@ impl DeltaSolver {
             // per-bit and run-aware walks (a run's CSR segment is the
             // concatenation of its rows in exactly this order), so the
             // decrement/proposal sequences are bit-identical across χ
-            // backends, drain strategies and thread counts.
+            // backends.
             let mut by_var = std::mem::take(&mut self.by_var);
             let mut touched = std::mem::take(&mut self.touched_vars);
             for &(v, u) in &batch {
@@ -1452,8 +1357,7 @@ impl DeltaSolver {
             agenda.sort_unstable();
 
             // One shard per labeled edge inequality whose source shrank,
-            // in inequality order, each owning its counter slab for the
-            // duration of the round.
+            // in inequality order.
             let mut units = std::mem::take(&mut self.units);
             for &i in &agenda {
                 if let Inequality::Edge {
@@ -1470,7 +1374,6 @@ impl DeltaSolver {
                         label,
                         forward,
                         run_aware: self.run_aware,
-                        slab: std::mem::take(&mut self.support[i as usize]),
                         proposals: self.proposal_pool.pop().unwrap_or_default(),
                         journal: journaling.then(Vec::new),
                         decrements: 0,
@@ -1482,46 +1385,15 @@ impl DeltaSolver {
             }
             self.stats.shard_units += units.len();
 
-            let workers = if batch.len() < config.drain_inline_below {
-                1 // tiny round: threads cost more than the work
-            } else {
-                thread_budget.min(units.len())
-            };
-            if workers <= 1 {
-                for unit in &mut units {
-                    unit.process(db, &by_var[unit.source as usize], &self.chi);
-                }
-            } else {
-                let chi = &self.chi;
-                let by_var = &by_var;
-                let chunk = units.len().div_ceil(workers);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = units
-                        .chunks_mut(chunk)
-                        .map(|shard| {
-                            scope.spawn(move || {
-                                for unit in shard {
-                                    unit.process(db, &by_var[unit.source as usize], chi);
-                                }
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        // Structural invariant: a shard worker only
-                        // reads frozen state and its own unit; a panic
-                        // there is a bug, not a recoverable condition.
-                        #[allow(clippy::expect_used)]
-                        h.join().expect("drain shard panicked");
-                    }
-                });
+            for unit in &mut units {
+                let slab = &mut self.support[unit.ineq as usize];
+                unit.process(db, &by_var[unit.source as usize], slab, &self.chi);
             }
 
-            // Merge: hand every slab back, fold the per-shard work
-            // counters, and apply the proposals in inequality order.
+            // Merge: fold the per-shard work counters and apply the
+            // proposals in inequality order.
             // Subset inequalities carry no counters and are resolved
-            // inline at their position in the same order, so sequential
-            // and sharded drains clear the exact same bits in the exact
-            // same order.
+            // inline at their position in the same order.
             let mut early = false;
             let mut unit_iter = units.drain(..).peekable();
             for &i in &agenda {
@@ -1534,7 +1406,7 @@ impl DeltaSolver {
                     self.stats.row_lookups += unit.row_lookups;
                     if unit.lazy_seeded {
                         self.stats.lazy_seeds += 1;
-                        self.slab_word_total += unit.slab.storage_words();
+                        self.slab_word_total += self.support[i as usize].storage_words();
                         self.journal_op(JournalOp::SlabSeeded { i });
                     }
                     // Fold the shard's decrement log into the epoch
@@ -1547,7 +1419,6 @@ impl DeltaSolver {
                     }
                     let target = unit.target as usize;
                     let mut proposals = unit.proposals;
-                    self.support[i as usize] = unit.slab;
                     if !early {
                         for &w in &proposals {
                             if self.chi[target].get(w as usize) {
@@ -1607,13 +1478,9 @@ impl DeltaSolver {
     /// re-evaluation engine's `empty_solution`) and freezes the state.
     fn kill(&mut self) {
         // Wholesale clears are not per-bit ops; journal the pre-kill χ
-        // snapshot instead (only when a journaling epoch is open — the
-        // clone is not free).
-        if self
-            .epoch
-            .as_ref()
-            .is_some_and(|epoch| epoch.journal.is_some())
-        {
+        // snapshot instead (only when an epoch is open — the clone is
+        // not free).
+        if self.epoch.is_some() {
             let snapshot = self.chi.clone();
             self.journal_op(JournalOp::Killed { chi: snapshot });
         }
@@ -1653,19 +1520,18 @@ impl DeltaSolver {
 
     /// Opens the update epoch for one maintenance batch: snapshots the
     /// cheap scalar state (stats, counts, liveness) and starts an empty
-    /// journal when [`SolverConfig::journal`] is on. The work-ops
-    /// watermark anchors the drain-budget accounting.
-    fn begin_epoch(&mut self, config: &SolverConfig) {
+    /// journal. The work-ops watermark anchors the drain-budget
+    /// accounting.
+    fn begin_epoch(&mut self) {
         debug_assert!(self.epoch.is_none(), "maintenance epochs never nest");
         debug_assert!(self.queue.is_empty(), "worklist drained between batches");
-        let journal = config.journal.then(|| Journal {
-            ops: Vec::new(),
-            stats: self.stats.clone(),
-            counts: self.counts.clone(),
-            dead: self.dead,
-        });
         self.epoch = Some(Epoch {
-            journal,
+            journal: Journal {
+                ops: Vec::new(),
+                stats: self.stats.clone(),
+                counts: self.counts.clone(),
+                dead: self.dead,
+            },
             work_at_begin: self.stats.work_ops(),
         });
     }
@@ -1709,9 +1575,8 @@ impl DeltaSolver {
     /// budget exhaustion additionally poisons the engine (the batch was
     /// too expensive to maintain incrementally — retrying would burn the
     /// same budget again, so the owner should fall back to a cold
-    /// solve). A failed rollback (or journaling turned off) poisons
-    /// without restoring: the state cannot be trusted in either
-    /// direction.
+    /// solve). A failed rollback poisons without restoring: the state
+    /// cannot be trusted in either direction.
     fn handle_abort(&mut self, cause: &MaintainError) {
         let budget_abort = matches!(cause, MaintainError::BudgetExceeded { .. });
         match self.abort_epoch() {
@@ -1742,15 +1607,12 @@ impl DeltaSolver {
     /// undone, lazy-seed promotions unseeded, and a kill's χ snapshot
     /// restored wholesale; the scalar snapshots (stats, counts,
     /// liveness) are then copied back and the storage-word gauges
-    /// recomputed. Fails when journaling was off for this epoch — or
-    /// when the `rollback` failpoint models a crashing rollback — in
-    /// which case the state is left as-is for the caller to poison.
+    /// recomputed. Fails when the `rollback` failpoint models a
+    /// crashing rollback, in which case the state is left as-is for the
+    /// caller to poison.
     fn abort_epoch(&mut self) -> Result<(), MaintainError> {
         debug_assert!(self.epoch.is_some(), "abort_epoch outside an epoch");
-        let Some(epoch) = self.epoch.take() else {
-            return Err(MaintainError::Poisoned);
-        };
-        let Some(mut journal) = epoch.journal else {
+        let Some(Epoch { mut journal, .. }) = self.epoch.take() else {
             return Err(MaintainError::Poisoned);
         };
         failpoints::check("rollback")?;
@@ -1795,8 +1657,9 @@ fn validate_batch(db: &GraphDb, batch: &[Triple]) -> Result<(), MaintainError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_sois, solve, DrainStrategy, FixpointMode};
-    use dualsim_bitmatrix::ChiBackend;
+    use crate::{build_sois, solve, FixpointMode};
+    use dualsim_bitmatrix::kernels::with_backend;
+    use dualsim_bitmatrix::{ChiBackend, KernelBackend};
     use dualsim_graph::GraphDbBuilder;
     use dualsim_query::parse;
 
@@ -1849,34 +1712,6 @@ mod tests {
                         delta.is_certainly_empty(),
                         "{text}"
                     );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_drain_matches_sequential_on_fixtures() {
-        let db = sample_db();
-        for text in [
-            "{ ?x p ?y . ?y p ?z . ?x q ?z }",
-            "{ ?x q ?y . ?y p ?z }",
-            "{ ?x p ?y OPTIONAL { ?x q ?z } }",
-        ] {
-            let q = parse(text).unwrap();
-            for soi in build_sois(&db, &q) {
-                for early_exit in [false, true] {
-                    let seq = solve(&db, &soi, &delta_cfg(early_exit));
-                    for threads in [1, 2, 4, 16] {
-                        let cfg = SolverConfig {
-                            drain: DrainStrategy::Sharded { threads },
-                            ..delta_cfg(early_exit)
-                        };
-                        let par = solve(&db, &soi, &cfg);
-                        assert_eq!(seq.chi, par.chi, "{text} ({threads} threads)");
-                        // The full stats — every work counter included —
-                        // must be bit-identical across strategies.
-                        assert_eq!(seq.stats, par.stats, "{text} ({threads} threads)");
-                    }
                 }
             }
         }
@@ -1980,34 +1815,6 @@ mod tests {
         let reev = solve(&db, &soi, &SolverConfig::default());
         assert_eq!(reev.stats.slab_peak_words, 0);
         assert_eq!(reev.stats.row_lookups, 0);
-    }
-
-    #[test]
-    fn parallel_seeding_is_invisible_to_every_counter() {
-        let db = sample_db();
-        for text in [
-            "{ ?x p ?y . ?y p ?z . ?x q ?z }",
-            "{ ?x q ?y . ?y p ?z }",
-        ] {
-            let q = parse(text).unwrap();
-            for soi in build_sois(&db, &q) {
-                let seq = solve(&db, &soi, &delta_cfg(false));
-                for threads in [2, 4, 16] {
-                    let par = solve(
-                        &db,
-                        &soi,
-                        &SolverConfig {
-                            seed_threads: threads,
-                            ..delta_cfg(false)
-                        },
-                    );
-                    assert_eq!(seq.chi, par.chi, "{text} ({threads} seed threads)");
-                    // Full stats — the storage gauges included — are
-                    // deterministic across seeding thread counts.
-                    assert_eq!(seq.stats, par.stats, "{text} ({threads} seed threads)");
-                }
-            }
-        }
     }
 
     /// A publications-style fixture whose forced removals form one
@@ -2269,39 +2076,57 @@ mod tests {
         assert_eq!(engine.solution().chi, solve(&db, &soi, &cfg).chi);
     }
 
-    #[test]
-    fn insertion_maintenance_is_backend_and_thread_invariant() {
-        use crate::SlabBackend;
+    /// Runs `f` on a fresh thread pinned to the scalar kernel.
+    fn on_scalar_thread<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::JoinHandle<T> {
+        std::thread::spawn(move || with_backend(KernelBackend::Scalar, f))
+    }
+
+    /// Insert the sample graph's last two triples, retract them, and
+    /// insert them again, starting from a cold solve without them.
+    fn insertion_churn(cfg: &SolverConfig) -> Solution {
         let db = sample_db();
         let q = parse("{ ?x p ?y . ?y q ?z }").unwrap();
         let soi = build_sois(&db, &q).remove(0);
         let all: Vec<Triple> = db.triples().collect();
         let (rest, last) = all.split_at(all.len() - 2);
         let db_before = db.with_triples(rest).unwrap();
-        let run = |cfg: &SolverConfig| {
-            let mut engine = DeltaSolver::new(&db_before, &soi, cfg);
-            assert!(engine.insert_triples(&db, &soi, cfg, last).unwrap());
-            engine.retract_triples(&db_before, &soi, cfg, last).unwrap();
-            assert!(engine.insert_triples(&db, &soi, cfg, last).unwrap());
-            engine.solution()
-        };
-        let base = run(&delta_cfg(false));
+        let mut engine = DeltaSolver::new(&db_before, &soi, cfg);
+        assert!(engine.insert_triples(&db, &soi, cfg, last).unwrap());
+        engine.retract_triples(&db_before, &soi, cfg, last).unwrap();
+        assert!(engine.insert_triples(&db, &soi, cfg, last).unwrap());
+        engine.solution()
+    }
+
+    #[test]
+    fn insertion_maintenance_is_backend_and_thread_invariant() {
+        use crate::SlabBackend;
+        let db = sample_db();
+        let q = parse("{ ?x p ?y . ?y q ?z }").unwrap();
+        let soi = build_sois(&db, &q).remove(0);
+        let base = insertion_churn(&delta_cfg(false));
         assert_eq!(base.chi, solve(&db, &soi, &delta_cfg(false)).chi);
         for chi_backend in [ChiBackend::Dense, ChiBackend::Rle] {
             for slab_backend in [SlabBackend::Dense, SlabBackend::Sparse] {
-                for threads in [1, 4] {
-                    let cfg = SolverConfig {
-                        chi_backend,
-                        slab_backend,
-                        drain: DrainStrategy::Sharded { threads },
-                        ..delta_cfg(false)
-                    };
-                    let sol = run(&cfg);
-                    assert_eq!(base.chi, sol.chi, "({chi_backend:?}, {slab_backend:?}, {threads})");
+                let cfg = SolverConfig {
+                    chi_backend,
+                    slab_backend,
+                    ..delta_cfg(false)
+                };
+                // The same maintenance on this thread and, concurrently,
+                // on a second thread pinned to the scalar kernel.
+                let there = on_scalar_thread({
+                    let cfg = cfg.clone();
+                    move || insertion_churn(&cfg)
+                });
+                let here = insertion_churn(&cfg);
+                for sol in [here, there.join().unwrap()] {
+                    assert_eq!(base.chi, sol.chi, "({chi_backend:?}, {slab_backend:?})");
                     assert_eq!(
                         base.stats.logical(),
                         sol.stats.logical(),
-                        "({chi_backend:?}, {slab_backend:?}, {threads})"
+                        "({chi_backend:?}, {slab_backend:?})"
                     );
                 }
             }
@@ -2485,98 +2310,96 @@ mod tests {
     }
 
     #[test]
-    fn journal_off_trades_atomicity_for_poisoning() {
-        let cfg = SolverConfig {
-            journal: false,
-            ..delta_cfg(false)
-        };
+    fn journal_records_the_happy_path_without_logical_work() {
+        let cfg = delta_cfg(false);
         let (_db, soi, mut engine, db_after, qs) = retraction_fixture(&cfg);
-        failpoints::disarm_all();
-        failpoints::arm("pre-drain", 0);
+        let before = engine.stats().clone();
         assert_eq!(
-            engine.retract_triples(&db_after, &soi, &cfg, &qs),
-            Err(MaintainError::Failpoint { point: "pre-drain" })
+            before.journal_entries, 0,
+            "cold solves run outside any epoch"
         );
-        failpoints::disarm_all();
-        assert!(engine.is_poisoned(), "no journal, no rollback — poisoned");
-        assert_eq!(engine.stats().rollbacks, 0);
-        assert_eq!(engine.stats().poisonings, 1);
+        engine.retract_triples(&db_after, &soi, &cfg, &qs).unwrap();
+        let after = engine.solution();
+        assert_eq!(after.chi, solve(&db_after, &soi, &cfg).chi);
+        // Every undo record shadows a mutation the logical counters
+        // already count: one per cleared χ bit, one per counter
+        // decrement, one per lazy seed.
+        let entries = after.stats.journal_entries;
+        assert!(entries > 0, "the epoch was recorded");
+        assert_eq!(
+            entries,
+            (after.stats.updates - before.updates)
+                + (after.stats.counter_decrements - before.counter_decrements)
+                + (after.stats.lazy_seeds - before.lazy_seeds)
+        );
+        assert_eq!(
+            after.stats.logical(),
+            SolveStats {
+                journal_entries: 0,
+                ..after.stats.clone()
+            }
+            .logical(),
+            "the journal gauge is not logical work"
+        );
     }
 
-    #[test]
-    fn journal_records_the_happy_path_without_logical_work() {
-        let with = delta_cfg(false);
-        let without = SolverConfig {
-            journal: false,
-            ..delta_cfg(false)
-        };
-        let (_db, soi, mut journaled, db_after, qs) = retraction_fixture(&with);
-        let (_db2, _soi2, mut bare, db_after2, qs2) = retraction_fixture(&without);
-        journaled.retract_triples(&db_after, &soi, &with, &qs).unwrap();
-        bare.retract_triples(&db_after2, &soi, &without, &qs2).unwrap();
-        let a = journaled.solution();
-        let b = bare.solution();
-        assert_eq!(a.chi, b.chi);
+    /// Aborts a retraction at the `mid-round` failpoint, checks the
+    /// bit-identical rollback, then applies the batch for real and
+    /// returns the resulting logical stats.
+    fn rollback_then_retract(cfg: &SolverConfig) -> SolveStats {
+        let label = format!("({:?}, {:?})", cfg.chi_backend, cfg.slab_backend);
+        let (_db, soi, mut engine, db_after, qs) = retraction_fixture(cfg);
+        let pre = engine.solution();
+        failpoints::disarm_all();
+        failpoints::arm("mid-round", 0);
         assert_eq!(
-            a.stats.logical(),
-            b.stats.logical(),
-            "journaling performs zero additional logical work"
+            engine.retract_triples(&db_after, &soi, cfg, &qs),
+            Err(MaintainError::Failpoint { point: "mid-round" }),
+            "{label}"
         );
-        assert!(a.stats.journal_entries > 0, "the epoch was recorded");
-        assert_eq!(b.stats.journal_entries, 0);
+        failpoints::disarm_all();
+        let post = engine.solution();
+        assert_eq!(pre.chi, post.chi, "{label}");
+        assert_eq!(pre.stats.logical(), post.stats.logical(), "{label}");
+        assert_eq!(post.stats.rollbacks, 1, "{label}");
+        assert!(!engine.is_poisoned(), "{label}");
+        // The next batch applies as if the abort never happened.
+        engine.retract_triples(&db_after, &soi, cfg, &qs).unwrap();
+        assert_eq!(
+            engine.solution().chi,
+            solve(&db_after, &soi, cfg).chi,
+            "{label}"
+        );
+        engine.solution().stats.logical()
     }
 
     #[test]
     fn rollback_is_invariant_across_backends_and_threads() {
         use crate::SlabBackend;
-        // The satellite matrix: chi {dense,rle} × slab {dense,sparse} ×
-        // drain {sequential,sharded} × threads {1,4}. Every combination
+        // chi {dense,rle} × slab {dense,sparse}, each run on this thread
+        // and on a second thread pinned to the scalar kernel (failpoints
+        // and kernel overrides are both thread-local). Every combination
         // must abort back to its own bit-identical pre-batch snapshot,
         // and the logical outcome must also agree *across* the matrix.
         let mut logical_reference: Option<SolveStats> = None;
         for chi_backend in [ChiBackend::Dense, ChiBackend::Rle] {
             for slab_backend in [SlabBackend::Dense, SlabBackend::Sparse] {
-                for threads in [1usize, 4] {
-                    let drain = if threads == 1 {
-                        DrainStrategy::Sequential
-                    } else {
-                        DrainStrategy::Sharded { threads }
-                    };
-                    let cfg = SolverConfig {
-                        chi_backend,
-                        slab_backend,
-                        drain,
-                        // Shard even the small fixture rounds so the
-                        // threaded merge path actually runs.
-                        drain_inline_below: 0,
-                        ..delta_cfg(false)
-                    };
-                    let label = format!("({chi_backend:?}, {slab_backend:?}, {drain:?})");
-                    let (_db, soi, mut engine, db_after, qs) = retraction_fixture(&cfg);
-                    let pre = engine.solution();
-                    failpoints::disarm_all();
-                    failpoints::arm("mid-round", 0);
-                    assert_eq!(
-                        engine.retract_triples(&db_after, &soi, &cfg, &qs),
-                        Err(MaintainError::Failpoint { point: "mid-round" }),
-                        "{label}"
-                    );
-                    failpoints::disarm_all();
-                    let post = engine.solution();
-                    assert_eq!(pre.chi, post.chi, "{label}");
-                    assert_eq!(pre.stats.logical(), post.stats.logical(), "{label}");
-                    assert_eq!(post.stats.rollbacks, 1, "{label}");
-                    assert!(!engine.is_poisoned(), "{label}");
-                    // The next batch applies as if the abort never
-                    // happened…
-                    engine.retract_triples(&db_after, &soi, &cfg, &qs).unwrap();
-                    assert_eq!(engine.solution().chi, solve(&db_after, &soi, &cfg).chi, "{label}");
-                    // …with the logical stats identical across the
-                    // whole matrix.
-                    let logical = engine.solution().stats.logical();
+                let cfg = SolverConfig {
+                    chi_backend,
+                    slab_backend,
+                    ..delta_cfg(false)
+                };
+                let there = on_scalar_thread({
+                    let cfg = cfg.clone();
+                    move || rollback_then_retract(&cfg)
+                });
+                let here = rollback_then_retract(&cfg);
+                for logical in [here, there.join().unwrap()] {
                     match &logical_reference {
                         None => logical_reference = Some(logical),
-                        Some(reference) => assert_eq!(reference, &logical, "{label}"),
+                        Some(reference) => {
+                            assert_eq!(reference, &logical, "({chi_backend:?}, {slab_backend:?})")
+                        }
                     }
                 }
             }

@@ -39,11 +39,10 @@ use crate::failpoints;
 use crate::incremental::IncrementalDualSim;
 use crate::soi::{Inequality, PatternEdge, SimulationKind, Soi, SoiVar};
 use crate::solver::{
-    DrainStrategy, EvalStrategy, FixpointMode, IneqOrdering, InitMode, Solution, SolveStats,
-    SolverConfig,
+    EvalStrategy, FixpointMode, IneqOrdering, InitMode, Solution, SolveStats, SolverConfig,
 };
 use crate::MaintainError;
-use dualsim_bitmatrix::{ChiBackend, ChiVec, KernelBackend, SlabBackend};
+use dualsim_bitmatrix::{ChiBackend, ChiVec, SlabBackend};
 use dualsim_graph::{GraphDb, GraphDbBuilder, NodeKind, Triple};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -53,8 +52,10 @@ use std::path::{Path, PathBuf};
 /// Magic + version framing of the two on-disk formats.
 const WAL_MAGIC: &[u8; 4] = b"DWAL";
 const SNAP_MAGIC: &[u8; 4] = b"DSNP";
-/// v2 added the kernel-backend tag to the encoded [`SolverConfig`].
-const FORMAT_VERSION: u32 = 2;
+/// v2 added the kernel-backend tag to the encoded [`SolverConfig`]; v3
+/// dropped the drain, inline-threshold, seed-thread, journal and kernel
+/// fields from it.
+const FORMAT_VERSION: u32 = 3;
 /// WAL header: magic + version.
 const WAL_HEADER_LEN: u64 = 8;
 /// Per-record frame: payload length (u32) + CRC32 of the payload (u32).
@@ -586,25 +587,6 @@ fn slab_backend_from(tag: u8, what: &str) -> Result<SlabBackend, MaintainError> 
     }
 }
 
-fn kernel_backend_tag(b: KernelBackend) -> u8 {
-    match b {
-        KernelBackend::Scalar => 0,
-        KernelBackend::Unrolled => 1,
-        KernelBackend::Simd => 2,
-        KernelBackend::Auto => 3,
-    }
-}
-
-fn kernel_backend_from(tag: u8, what: &str) -> Result<KernelBackend, MaintainError> {
-    match tag {
-        0 => Ok(KernelBackend::Scalar),
-        1 => Ok(KernelBackend::Unrolled),
-        2 => Ok(KernelBackend::Simd),
-        3 => Ok(KernelBackend::Auto),
-        v => Err(corrupt(format!("{what}: bad kernel backend tag {v}"))),
-    }
-}
-
 fn encode_config(enc: &mut Enc, c: &SolverConfig) {
     enc.u8(match c.strategy {
         EvalStrategy::RowWise => 0,
@@ -623,20 +605,8 @@ fn encode_config(enc: &mut Enc, c: &SolverConfig) {
         FixpointMode::Reevaluate => 0,
         FixpointMode::DeltaCounting => 1,
     });
-    match c.drain {
-        DrainStrategy::Sequential => {
-            enc.u8(0);
-            enc.u64(0);
-        }
-        DrainStrategy::Sharded { threads } => {
-            enc.u8(1);
-            enc.usize(threads);
-        }
-    }
-    enc.usize(c.drain_inline_below);
     enc.u8(chi_backend_tag(c.chi_backend));
     enc.u8(slab_backend_tag(c.slab_backend));
-    enc.usize(c.seed_threads);
     enc.bool(c.early_exit);
     match c.drain_budget {
         None => {
@@ -648,8 +618,6 @@ fn encode_config(enc: &mut Enc, c: &SolverConfig) {
             enc.usize(b);
         }
     }
-    enc.bool(c.journal);
-    enc.u8(kernel_backend_tag(c.kernel_backend));
 }
 
 fn decode_config(dec: &mut Dec<'_>) -> Result<SolverConfig, MaintainError> {
@@ -674,37 +642,23 @@ fn decode_config(dec: &mut Dec<'_>) -> Result<SolverConfig, MaintainError> {
         1 => FixpointMode::DeltaCounting,
         v => return Err(corrupt(format!("config: bad fixpoint tag {v}"))),
     };
-    let drain = match (dec.u8()?, dec.usize()?) {
-        (0, _) => DrainStrategy::Sequential,
-        (1, threads) => DrainStrategy::Sharded { threads },
-        (v, _) => return Err(corrupt(format!("config: bad drain tag {v}"))),
-    };
-    let drain_inline_below = dec.usize()?;
     let chi_backend = chi_backend_from(dec.u8()?, "config")?;
     let slab_backend = slab_backend_from(dec.u8()?, "config")?;
-    let seed_threads = dec.usize()?;
     let early_exit = dec.bool()?;
     let drain_budget = match (dec.u8()?, dec.usize()?) {
         (0, _) => None,
         (1, b) => Some(b),
         (v, _) => return Err(corrupt(format!("config: bad budget tag {v}"))),
     };
-    let journal = dec.bool()?;
-    let kernel_backend = kernel_backend_from(dec.u8()?, "config")?;
     Ok(SolverConfig {
         strategy,
         ordering,
         init,
         fixpoint,
-        drain,
-        drain_inline_below,
         chi_backend,
         slab_backend,
-        seed_threads,
         early_exit,
         drain_budget,
-        journal,
-        kernel_backend,
     })
 }
 
@@ -1502,6 +1456,25 @@ fn replay(
     })
 }
 
+/// Rewrites the format-version field of every snapshot and WAL file
+/// under `dir`, recursively: the on-disk state a release with another
+/// format version leaves behind.
+#[cfg(test)]
+pub(crate) fn rewrite_format_version(dir: &Path, version: u32) {
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            rewrite_format_version(&path, version);
+        } else if path.extension().is_some_and(|x| x == "snap")
+            || path.file_name().is_some_and(|n| n == "wal.log")
+        {
+            let mut bytes = fs::read(&path).unwrap();
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            fs::write(&path, bytes).unwrap();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1550,15 +1523,10 @@ mod tests {
                 ordering: IneqOrdering::QueryOrder,
                 init: InitMode::AllOnes,
                 fixpoint: FixpointMode::DeltaCounting,
-                drain: DrainStrategy::Sharded { threads: 7 },
-                drain_inline_below: 3,
                 chi_backend: ChiBackend::Rle,
                 slab_backend: SlabBackend::Sparse,
-                seed_threads: 4,
                 early_exit: false,
                 drain_budget: Some(123_456),
-                journal: false,
-                kernel_backend: KernelBackend::Unrolled,
             },
         ];
         for config in configs {

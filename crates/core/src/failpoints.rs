@@ -10,10 +10,9 @@
 //! models a failing rollback, which poisons the engine.
 //!
 //! The registry is **thread-local and deterministic**: no clocks, no
-//! randomness, no cross-thread state. All sites live on the coordinator
-//! thread (drain shards never consult the registry), so arming from a
-//! test and driving maintenance on the same thread is race-free by
-//! construction. When nothing is armed the per-site cost is one
+//! randomness, no cross-thread state. Maintenance runs entirely on the
+//! calling thread, so arming from a test and driving maintenance on the
+//! same thread is race-free by construction. When nothing is armed the per-site cost is one
 //! thread-local flag read.
 //!
 //! This module exists for the chaos proptests, the CI chaos smoke, and

@@ -31,10 +31,7 @@
 //! into the delta worklist* (one counter decrement per deleted triple
 //! and affected inequality) instead of re-running the solver over the
 //! previous χ — the fully incremental path the `ablation_fixpoint`
-//! benchmark measures. The configured [`crate::DrainStrategy`] applies
-//! to maintenance too: under `DrainStrategy::Sharded` every update's
-//! cascade is drained in parallel rounds, with χ and all work counters
-//! bit-identical to the sequential drain.
+//! benchmark measures.
 
 use crate::delta::DeltaSolver;
 use crate::durability::{self, Durability, DurabilityOptions, Recovered, SnapshotState};
@@ -546,10 +543,6 @@ mod tests {
         let configs = [
             cfg(FixpointMode::Reevaluate),
             cfg(FixpointMode::DeltaCounting),
-            SolverConfig {
-                drain: crate::DrainStrategy::Sharded { threads: 4 },
-                ..cfg(FixpointMode::DeltaCounting)
-            },
         ];
         for config in configs {
             let mut inc = IncrementalDualSim::new(&db, soi.clone(), config.clone());
@@ -909,6 +902,32 @@ mod tests {
             );
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn recovery_rejects_files_of_another_format_version() {
+        let db0 = db();
+        let q = parse("{ ?x p ?y . ?y q ?z }").unwrap();
+        let soi = build_sois(&db0, &q).remove(0);
+        let dir = tmpdir();
+        let opts = DurabilityOptions::new(&dir);
+        let mut durable =
+            IncrementalDualSim::new_durable(&db0, soi, cfg(FixpointMode::DeltaCounting), &opts)
+                .unwrap();
+        let mut triples: Vec<Triple> = db0.triples().collect();
+        let victim = triples.pop().unwrap();
+        durable
+            .apply_deletions(&db0.with_triples(&triples).unwrap(), &[victim])
+            .unwrap();
+        drop(durable);
+        crate::durability::rewrite_format_version(&dir, 2);
+        match IncrementalDualSim::recover(&opts) {
+            Err(MaintainError::Corrupt { detail }) => {
+                assert!(detail.contains("unsupported version 2"), "{detail}");
+            }
+            other => panic!("expected an unsupported-version error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

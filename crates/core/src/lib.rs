@@ -14,8 +14,7 @@
 //!   by [`SolverConfig`]; two convergence engines are available
 //!   ([`FixpointMode`]): whole-inequality re-evaluation and
 //!   delta-counting removal propagation — with lazy per-inequality
-//!   counter seeding and a round-based worklist drain that optionally
-//!   shards across scoped threads ([`DrainStrategy`]) — which also
+//!   counter seeding and a round-based worklist drain — which also
 //!   powers truly incremental deletion maintenance in
 //!   [`IncrementalDualSim`]; χ storage is pluggable per solve
 //!   ([`ChiBackend`]: dense bit vectors or run-length encoded ones,
@@ -87,7 +86,7 @@ pub use quotient::QuotientIndex;
 pub use soi::{build_sois, build_sois_with, Inequality, PatternEdge, SimulationKind, Soi, SoiVar};
 pub use dualsim_bitmatrix::{ChiBackend, ChiVec, KernelBackend, SlabBackend};
 pub use solver::{
-    solve, solve_from, DrainStrategy, EvalStrategy, FixpointMode, IneqOrdering, InitMode, Solution,
-    SolveStats, SolverConfig,
+    solve, solve_from, EvalStrategy, FixpointMode, IneqOrdering, InitMode, Solution, SolveStats,
+    SolverConfig,
 };
 pub use strong::{strong_kept_triples, strong_simulation, StrongSimulation, StrongStats};

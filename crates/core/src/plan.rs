@@ -1,12 +1,11 @@
 //! Per-query solve plans: one resolution of every pluggable axis.
 //!
-//! A [`SolvePlan`] pins the χ-storage backend × counter-slab backend ×
-//! drain strategy × word-kernel combination a solve runs under — all
-//! `Auto` selections resolved against the seeded candidate density (χ,
-//! slab) and the host CPU (kernel) — **once**, at [`crate::DeltaSolver`]
-//! construction / re-evaluation solve entry, instead of re-deciding
-//! inside the hot loops. Everything downstream is monomorphized against
-//! the plan:
+//! A [`SolvePlan`] pins the χ-storage backend × counter-slab backend
+//! combination a solve runs under — both `Auto` selections resolved
+//! against the seeded candidate density — **once**, at
+//! [`crate::DeltaSolver`] construction / re-evaluation solve entry,
+//! instead of re-deciding inside the hot loops. Everything downstream is
+//! monomorphized against the plan:
 //!
 //! * the plan's concrete χ backend fixes which `ChiVec` variant every
 //!   vector holds for the whole solve (enum dispatch on a known variant
@@ -15,19 +14,16 @@
 //! * the concrete slab backend fixes every support slab's representation
 //!   up front, and the fused `CounterSlab::decrement_collect` drain
 //!   hoists the remaining representation match out of the per-entry
-//!   decrement loop;
-//! * installing the plan ([`SolvePlan::install_kernel`]) selects the
-//!   word-kernel instantiation process-wide, so every `BitVec` /
-//!   `BitMatrix` inner loop below the solve runs the resolved scalar /
-//!   unrolled / AVX2 code with one relaxed-load dispatch per operation
-//!   (hoisted to one per multiply in the `×b` kernels).
+//!   decrement loop.
 //!
-//! Every plan combination is bit-identical in χ and in the logical
-//! [`crate::SolveStats`] projection — the parity harness sweeps the full
-//! plan space (kernel × χ × slab × drain × threads) and pins it.
+//! The word kernel is not a plan axis: it is resolved once per process
+//! (`dualsim_bitmatrix::kernels`). Every plan combination is
+//! bit-identical in χ and in the logical [`crate::SolveStats`]
+//! projection — the parity harness sweeps the full plan space (χ × slab,
+//! under each kernel) and pins it.
 
-use crate::solver::{auto_prefers_compressed, DrainStrategy, SolverConfig};
-use dualsim_bitmatrix::{ChiBackend, ChiVec, KernelBackend, SlabBackend};
+use crate::solver::{auto_prefers_compressed, SolverConfig};
+use dualsim_bitmatrix::{ChiBackend, ChiVec, SlabBackend};
 
 /// The per-query resolved execution plan: every pluggable axis pinned
 /// to a concrete choice for the duration of one solve.
@@ -37,13 +33,6 @@ pub struct SolvePlan {
     pub chi: ChiBackend,
     /// Concrete support-counter backend (never [`SlabBackend::Auto`]).
     pub slab: SlabBackend,
-    /// Worklist drain strategy (taken from the config verbatim — it has
-    /// no `Auto` to resolve; the per-round inline threshold still
-    /// applies underneath).
-    pub drain: DrainStrategy,
-    /// Concrete word-kernel instantiation (never [`KernelBackend::Auto`];
-    /// `Simd` only when the CPU supports it).
-    pub kernel: KernelBackend,
     /// Whether the delta drain walks removal *runs* against the matrix
     /// CSR instead of single rows — derived from the χ backend (RLE χ
     /// coalesces one round's removals into runs).
@@ -55,8 +44,7 @@ impl SolvePlan {
     /// seeded candidate count: χ `Auto` and slab `Auto` use the shared
     /// density bound (`initial_candidates / (nv · n)` at most
     /// 1/`AUTO_RLE_DENSITY_DIVISOR` picks the compressed/sparse
-    /// representation), kernel `Auto`/`Simd` resolve against the host
-    /// CPU's feature set.
+    /// representation).
     pub fn resolve(
         config: &SolverConfig,
         initial_candidates: usize,
@@ -89,18 +77,8 @@ impl SolvePlan {
         SolvePlan {
             chi,
             slab,
-            drain: config.drain,
-            kernel: config.kernel_backend.resolve(),
             run_aware: chi == ChiBackend::Rle,
         }
-    }
-
-    /// Installs the plan's word kernel as the process-wide active
-    /// instantiation (one relaxed atomic store). Concurrent solves with
-    /// different plans can only ever change each other's wall time, not
-    /// results — every kernel instantiation is bit-identical.
-    pub fn install_kernel(&self) {
-        self.kernel.install();
     }
 
     /// Converts every χ vector to the plan's concrete backend (a no-op
@@ -121,7 +99,6 @@ mod tests {
         let config = SolverConfig {
             chi_backend: ChiBackend::Auto,
             slab_backend: SlabBackend::Auto,
-            kernel_backend: KernelBackend::Auto,
             ..SolverConfig::default()
         };
         // Dense seeding: 1000 candidates over a 10×100 space.
@@ -129,13 +106,11 @@ mod tests {
         assert_eq!(dense.chi, ChiBackend::Dense);
         assert_eq!(dense.slab, SlabBackend::Dense);
         assert!(!dense.run_aware);
-        assert_ne!(dense.kernel, KernelBackend::Auto);
         // Sparse seeding: 1 candidate over the same space.
         let sparse = SolvePlan::resolve(&config, 1, 10, 100);
         assert_eq!(sparse.chi, ChiBackend::Rle);
         assert_eq!(sparse.slab, SlabBackend::Sparse);
         assert!(sparse.run_aware);
-        assert_eq!(sparse.kernel, dense.kernel, "kernel is density-blind");
     }
 
     #[test]
@@ -143,14 +118,11 @@ mod tests {
         let config = SolverConfig {
             chi_backend: ChiBackend::Rle,
             slab_backend: SlabBackend::Dense,
-            kernel_backend: KernelBackend::Unrolled,
             ..SolverConfig::default()
         };
         let plan = SolvePlan::resolve(&config, 1_000_000, 10, 100);
         assert_eq!(plan.chi, ChiBackend::Rle);
         assert_eq!(plan.slab, SlabBackend::Dense);
-        assert_eq!(plan.kernel, KernelBackend::Unrolled);
         assert!(plan.run_aware);
-        assert_eq!(plan.drain, config.drain);
     }
 }

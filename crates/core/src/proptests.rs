@@ -6,10 +6,9 @@
 //! along incremental deletion chains and interleaved
 //! insertion/deletion churn — and the χ backends
 //! ([`ChiBackend::Dense`] / [`ChiBackend::Rle`]), the counter-slab
-//! backends (`SlabBackend::{Dense, Sparse, Auto}`), the word-level
-//! kernel instantiations (`KernelBackend::{Scalar, Unrolled, Simd,
-//! Auto}`), the drain strategies and the seeding/draining thread
-//! counts must additionally agree on every *logical* work counter
+//! backends (`SlabBackend::{Dense, Sparse, Auto}`) and the word-level
+//! kernel instantiations (`KernelBackend::{Scalar, Simd}`) must
+//! additionally agree on every *logical* work counter
 //! ([`crate::SolveStats::logical`] — everything except the storage
 //! gauges and the run-aware drain's `row_lookups`).
 //!
@@ -19,9 +18,10 @@
 //! [`ChiBackend::Rle`]: crate::ChiBackend::Rle
 
 use crate::{
-    build_sois_with, solve, solve_from, ChiBackend, DrainStrategy, FixpointMode,
-    IncrementalDualSim, KernelBackend, SimulationKind, SlabBackend, SolverConfig,
+    build_sois_with, solve, solve_from, ChiBackend, FixpointMode, IncrementalDualSim,
+    KernelBackend, SimulationKind, SlabBackend, SolverConfig,
 };
+use dualsim_bitmatrix::kernels::with_backend;
 use dualsim_graph::{GraphDb, GraphDbBuilder, NodeKind, Triple};
 use dualsim_query::{parse, Query};
 use proptest::prelude::*;
@@ -149,82 +149,6 @@ proptest! {
         }
     }
 
-    /// The sharded drain is a *pure execution strategy*: for every
-    /// thread count it produces bit-identical χ — equal to both the
-    /// sequential drain and the re-evaluation engine — and, because the
-    /// round/shard/merge structure is thread-count independent,
-    /// bit-identical work counters (`SolveStats` as a whole, hence also
-    /// `work_ops()`), for dual and forward-only systems, with and
-    /// without early exit.
-    #[test]
-    fn sharded_drain_equals_sequential_and_reevaluate(db in arb_db(), q in arb_query()) {
-        for kind in [SimulationKind::Dual, SimulationKind::Forward] {
-            for soi in build_sois_with(&db, &q, kind) {
-                for early_exit in [false, true] {
-                    let reev = solve(&db, &soi, &cfg(FixpointMode::Reevaluate, early_exit));
-                    let seq = solve(&db, &soi, &cfg(FixpointMode::DeltaCounting, early_exit));
-                    prop_assert_eq!(&reev.chi, &seq.chi, "{} ({:?})", q, kind);
-                    for threads in [1usize, 2, 4, 16] {
-                        let config = SolverConfig {
-                            drain: DrainStrategy::Sharded { threads },
-                            // Threshold 0 keeps even tiny proptest
-                            // rounds on the scoped-thread path.
-                            drain_inline_below: 0,
-                            ..cfg(FixpointMode::DeltaCounting, early_exit)
-                        };
-                        let par = solve(&db, &soi, &config);
-                        prop_assert_eq!(
-                            &seq.chi, &par.chi,
-                            "{} ({:?}, {} threads, early_exit={})", q, kind, threads, early_exit
-                        );
-                        prop_assert_eq!(
-                            &seq.stats, &par.stats,
-                            "{} ({:?}, {} threads, early_exit={})", q, kind, threads, early_exit
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Incremental deletion chains through the *sharded* drain stay
-    /// bit-identical — solution and work counters — to the sequential
-    /// drain, and both track the re-evaluation engine's solution.
-    #[test]
-    fn sharded_incremental_deletions_match_sequential(db in arb_db(), q in arb_query()) {
-        let delta_cfg = |drain| SolverConfig {
-            drain,
-            drain_inline_below: 0, // keep tiny rounds on the thread path
-            ..cfg(FixpointMode::DeltaCounting, false)
-        };
-        for soi in build_sois_with(&db, &q, SimulationKind::Dual) {
-            let mut engines: Vec<IncrementalDualSim> = [
-                DrainStrategy::Sequential,
-                DrainStrategy::Sharded { threads: 2 },
-                DrainStrategy::Sharded { threads: 4 },
-                DrainStrategy::Sharded { threads: 16 },
-            ]
-            .into_iter()
-            .map(|drain| IncrementalDualSim::new(&db, soi.clone(), delta_cfg(drain)))
-            .collect();
-            let mut triples: Vec<Triple> = db.triples().collect();
-            while triples.len() > 1 {
-                let batch: Vec<Triple> = triples.split_off(triples.len().saturating_sub(2));
-                let db_after = db.with_triples(&triples).unwrap();
-                for inc in engines.iter_mut() {
-                    inc.apply_deletions(&db_after, &batch).unwrap();
-                }
-                let (seq, sharded) = engines.split_first().unwrap();
-                for inc in sharded {
-                    prop_assert_eq!(&seq.solution().chi, &inc.solution().chi, "{}", q);
-                    prop_assert_eq!(&seq.solution().stats, &inc.solution().stats, "{}", q);
-                }
-                let cold = solve(&db_after, &soi, &cfg(FixpointMode::Reevaluate, false));
-                prop_assert_eq!(&seq.solution().chi, &cold.chi, "{} vs cold", q);
-            }
-        }
-    }
-
     /// The χ storage backend is a *pure representation choice*: for
     /// every engine × kind × early-exit combination, the dense and RLE
     /// backends (and the per-solve `Auto` resolution) converge to
@@ -291,71 +215,36 @@ proptest! {
         }
     }
 
-    /// The adaptive drain-round threading threshold
-    /// (`drain_inline_below`) is invisible: for thresholds on both
-    /// sides of every round's batch size — always-threaded (0), values
-    /// straddling typical batch sizes, and always-inline (`usize::MAX`)
-    /// — the sharded drain stays bit-identical (χ and full
-    /// `SolveStats`) to the sequential drain.
-    #[test]
-    fn drain_inline_threshold_is_invisible(db in arb_db(), q in arb_query(), near in 1usize..8) {
-        for soi in build_sois_with(&db, &q, SimulationKind::Dual) {
-            let seq = solve(&db, &soi, &cfg(FixpointMode::DeltaCounting, false));
-            for threshold in [0, near, usize::MAX] {
-                let config = SolverConfig {
-                    drain: DrainStrategy::Sharded { threads: 4 },
-                    drain_inline_below: threshold,
-                    ..cfg(FixpointMode::DeltaCounting, false)
-                };
-                let par = solve(&db, &soi, &config);
-                prop_assert_eq!(&seq.chi, &par.chi, "{} (threshold {})", q, threshold);
-                prop_assert_eq!(&seq.stats, &par.stats, "{} (threshold {})", q, threshold);
-            }
-        }
-    }
-
-    /// The counter-slab backend, the χ backend, the drain strategy and
-    /// the seeding/draining thread counts are all *pure representation
-    /// and execution choices*: every combination of slab backend
-    /// {Dense, Sparse, Auto} × χ backend {Dense, Rle} × drain
-    /// {Sequential, Sharded} × threads {1, 4} (applied to both the
-    /// drain and the parallel eager seeding) converges to bit-identical
-    /// χ and identical *logical* work counters
+    /// The counter-slab backend and the χ backend are both *pure
+    /// representation choices*: every combination of slab backend
+    /// {Dense, Sparse, Auto} × χ backend {Dense, Rle} converges to
+    /// bit-identical χ and identical *logical* work counters
     /// ([`crate::SolveStats::logical`] — everything except the storage
     /// gauges and the run-aware drain's `row_lookups`) — for dual and
     /// forward-only systems, with and without early exit.
     #[test]
-    fn slab_backends_drains_and_seed_threads_are_equivalent(db in arb_db(), q in arb_query()) {
+    fn slab_and_chi_backends_are_equivalent(db in arb_db(), q in arb_query()) {
         for kind in [SimulationKind::Dual, SimulationKind::Forward] {
             for soi in build_sois_with(&db, &q, kind) {
                 for early_exit in [false, true] {
                     let reference = solve(&db, &soi, &cfg(FixpointMode::DeltaCounting, early_exit));
                     for slab_backend in [SlabBackend::Dense, SlabBackend::Sparse, SlabBackend::Auto] {
                         for chi_backend in [ChiBackend::Dense, ChiBackend::Rle] {
-                            for threads in [1usize, 4] {
-                                let config = SolverConfig {
-                                    slab_backend,
-                                    chi_backend,
-                                    seed_threads: threads,
-                                    drain: if threads > 1 {
-                                        DrainStrategy::Sharded { threads }
-                                    } else {
-                                        DrainStrategy::Sequential
-                                    },
-                                    drain_inline_below: 0,
-                                    ..cfg(FixpointMode::DeltaCounting, early_exit)
-                                };
-                                let sol = solve(&db, &soi, &config);
-                                let ctx = format!(
-                                    "{q} ({kind:?}, {slab_backend:?}, {chi_backend:?}, \
-                                     {threads} threads, early_exit={early_exit})"
-                                );
-                                prop_assert_eq!(&reference.chi, &sol.chi, "χ diverged on {}", ctx);
-                                prop_assert_eq!(
-                                    reference.stats.logical(), sol.stats.logical(),
-                                    "logical stats diverged on {}", ctx
-                                );
-                            }
+                            let config = SolverConfig {
+                                slab_backend,
+                                chi_backend,
+                                ..cfg(FixpointMode::DeltaCounting, early_exit)
+                            };
+                            let sol = solve(&db, &soi, &config);
+                            let ctx = format!(
+                                "{q} ({kind:?}, {slab_backend:?}, {chi_backend:?}, \
+                                 early_exit={early_exit})"
+                            );
+                            prop_assert_eq!(&reference.chi, &sol.chi, "χ diverged on {}", ctx);
+                            prop_assert_eq!(
+                                reference.stats.logical(), sol.stats.logical(),
+                                "logical stats diverged on {}", ctx
+                            );
                         }
                     }
                 }
@@ -364,28 +253,21 @@ proptest! {
     }
 
     /// Incremental deletion chains stay bit-identical across slab
-    /// backends, χ backends and thread counts — χ and logical work
-    /// counters after every batch — and track a cold solve.
+    /// backends and χ backends — χ and logical work counters after
+    /// every batch — and track a cold solve.
     #[test]
     fn slab_backends_agree_along_incremental_deletion_chains(db in arb_db(), q in arb_query()) {
-        let config = |slab_backend, chi_backend, threads| SolverConfig {
+        let config = |slab_backend, chi_backend| SolverConfig {
             slab_backend,
             chi_backend,
-            seed_threads: threads,
-            drain: if threads > 1 {
-                DrainStrategy::Sharded { threads }
-            } else {
-                DrainStrategy::Sequential
-            },
-            drain_inline_below: 0,
             ..cfg(FixpointMode::DeltaCounting, false)
         };
         for soi in build_sois_with(&db, &q, SimulationKind::Dual) {
             let mut engines: Vec<IncrementalDualSim> = [
-                config(SlabBackend::Dense, ChiBackend::Dense, 1),
-                config(SlabBackend::Sparse, ChiBackend::Dense, 4),
-                config(SlabBackend::Sparse, ChiBackend::Rle, 1),
-                config(SlabBackend::Auto, ChiBackend::Rle, 4),
+                config(SlabBackend::Dense, ChiBackend::Dense),
+                config(SlabBackend::Sparse, ChiBackend::Dense),
+                config(SlabBackend::Sparse, ChiBackend::Rle),
+                config(SlabBackend::Auto, ChiBackend::Rle),
             ]
             .into_iter()
             .map(|c| IncrementalDualSim::new(&db, soi.clone(), c))
@@ -413,8 +295,8 @@ proptest! {
     }
 
     /// Interleaved insertion/deletion churn stays bit-identical to cold
-    /// solves in both fixpoint modes, across both slab backends, both χ
-    /// backends and thread counts {1, 4} — the delta engines serving
+    /// solves in both fixpoint modes, across both slab backends and both
+    /// χ backends — the delta engines serving
     /// *both* update directions from their persistent counters (the
     /// insertion side through the 0→1 re-activation frontier) and
     /// agreeing with each other on every logical work counter.
@@ -429,9 +311,6 @@ proptest! {
             cfg(FixpointMode::DeltaCounting, false),
             SolverConfig {
                 slab_backend: SlabBackend::Sparse,
-                seed_threads: 4,
-                drain: DrainStrategy::Sharded { threads: 4 },
-                drain_inline_below: 0,
                 ..cfg(FixpointMode::DeltaCounting, false)
             },
             SolverConfig {
@@ -649,8 +528,8 @@ proptest! {
     /// "process died"), and [`IncrementalDualSim::recover`] from disk.
     /// The recovered χ and logical `SolveStats` must be bit-identical
     /// to an uninterrupted plain run over the committed batch prefix —
-    /// across χ {Dense, Rle} × slab {Dense, Sparse} × drain
-    /// {Sequential, Sharded} × seed threads, and in re-evaluation mode.
+    /// across χ {Dense, Rle} × slab {Dense, Sparse}, and in
+    /// re-evaluation mode.
     #[test]
     fn chaos_durable_kills_recover_bit_identical(
         db in arb_db(),
@@ -669,9 +548,6 @@ proptest! {
             },
             SolverConfig {
                 slab_backend: SlabBackend::Sparse,
-                seed_threads: 4,
-                drain: DrainStrategy::Sharded { threads: 4 },
-                drain_inline_below: 0,
                 ..cfg(FixpointMode::DeltaCounting, false)
             },
             cfg(FixpointMode::Reevaluate, false),
@@ -955,55 +831,32 @@ proptest! {
     }
 
     /// The word-level kernel is a *pure instruction-selection choice*:
-    /// every kernel instantiation {Scalar, Unrolled, Simd, Auto} ×
-    /// χ backend {Dense, Rle} × slab backend {Dense, Sparse} ×
-    /// drain/seed thread count {1, 4} converges to bit-identical χ and
-    /// identical logical work counters, in both fixpoint engines — a
-    /// kernel moves the same words faster, it never changes *which*
-    /// words move. (`Simd` on a host without AVX2 resolves to the
-    /// scalar fallback, which is itself a valid parity case.)
+    /// every kernel instantiation {Scalar, Simd} × χ backend {Dense,
+    /// Rle} × slab backend {Dense, Sparse} converges to bit-identical χ
+    /// and identical logical work counters, in both fixpoint engines —
+    /// a kernel moves the same words faster, it never changes *which*
+    /// words move. (`Simd` on a host without AVX2 runs the scalar
+    /// fallback, which is itself a valid parity case.) The kernel is
+    /// overridden per thread, so parallel test threads never switch
+    /// each other's kernel mid-solve.
     #[test]
     fn kernel_backends_are_equivalent(db in arb_db(), q in arb_query()) {
-        let kernels = [
-            KernelBackend::Scalar,
-            KernelBackend::Unrolled,
-            KernelBackend::Simd,
-            KernelBackend::Auto,
-        ];
         for soi in build_sois_with(&db, &q, SimulationKind::Dual) {
-            let reference = solve(&db, &soi, &SolverConfig {
-                kernel_backend: KernelBackend::Scalar,
-                ..cfg(FixpointMode::DeltaCounting, false)
-            });
-            for kernel_backend in kernels {
-                let reev = solve(&db, &soi, &SolverConfig {
-                    kernel_backend,
-                    ..cfg(FixpointMode::Reevaluate, false)
+            for fixpoint in [FixpointMode::Reevaluate, FixpointMode::DeltaCounting] {
+                let reference = with_backend(KernelBackend::Scalar, || {
+                    solve(&db, &soi, &cfg(fixpoint, false))
                 });
-                prop_assert_eq!(
-                    &reference.chi, &reev.chi,
-                    "{} ({:?}, reevaluate)", q, kernel_backend
-                );
-                for chi_backend in [ChiBackend::Dense, ChiBackend::Rle] {
-                    for slab_backend in [SlabBackend::Dense, SlabBackend::Sparse] {
-                        for threads in [1usize, 4] {
+                for kernel in [KernelBackend::Scalar, KernelBackend::Simd] {
+                    for chi_backend in [ChiBackend::Dense, ChiBackend::Rle] {
+                        for slab_backend in [SlabBackend::Dense, SlabBackend::Sparse] {
                             let config = SolverConfig {
-                                kernel_backend,
                                 chi_backend,
                                 slab_backend,
-                                seed_threads: threads,
-                                drain: if threads > 1 {
-                                    DrainStrategy::Sharded { threads }
-                                } else {
-                                    DrainStrategy::Sequential
-                                },
-                                drain_inline_below: 0,
-                                ..cfg(FixpointMode::DeltaCounting, false)
+                                ..cfg(fixpoint, false)
                             };
-                            let sol = solve(&db, &soi, &config);
+                            let sol = with_backend(kernel, || solve(&db, &soi, &config));
                             let ctx = format!(
-                                "{q} ({kernel_backend:?}, {chi_backend:?}, \
-                                 {slab_backend:?}, {threads} threads)"
+                                "{q} ({fixpoint:?}, {kernel:?}, {chi_backend:?}, {slab_backend:?})"
                             );
                             prop_assert_eq!(&reference.chi, &sol.chi, "χ diverged on {}", ctx);
                             prop_assert_eq!(
@@ -1078,8 +931,8 @@ proptest! {
     /// logical `SolveStats`, per branch) to the reference throughout,
     /// and once healing has run its ladder every query converges back
     /// to the reference's χ. Queries are spread across
-    /// χ {Dense, Rle} × slab {Dense, Sparse} × drain
-    /// {Sequential, Sharded} so isolation holds on every backend.
+    /// χ {Dense, Rle} × slab {Dense, Sparse} so isolation holds on
+    /// every backend.
     #[test]
     fn chaos_session_kills_isolate_to_one_query(
         db in arb_db(),
@@ -1102,8 +955,6 @@ proptest! {
             },
             SolverConfig {
                 slab_backend: SlabBackend::Sparse,
-                drain: DrainStrategy::Sharded { threads: 2 },
-                drain_inline_below: 0,
                 ..cfg(FixpointMode::DeltaCounting, false)
             },
         ];

@@ -703,8 +703,17 @@ impl QuerySession {
             .values()
             .find(|s| s.complete && s.db.is_some())
             .and_then(|s| s.db.clone())
-            .ok_or_else(|| SessionError::Recovery {
-                detail: format!("{}: no query recovered fully", sd.root.display()),
+            .ok_or_else(|| {
+                let first_failure = recovered
+                    .iter()
+                    .find_map(|(name, s)| s.failure.as_ref().map(|f| format!(" ({name}: {f})")))
+                    .unwrap_or_default();
+                SessionError::Recovery {
+                    detail: format!(
+                        "{}: no query recovered fully{first_failure}",
+                        sd.root.display()
+                    ),
+                }
             })?;
 
         let mut session = QuerySession::new(canonical, opts);
@@ -1926,6 +1935,30 @@ mod tests {
                 s2.candidates(name).unwrap(),
                 cold_candidates(s2.db(), s2.query_text(name).unwrap())
             );
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn recovery_rejects_files_of_another_format_version() {
+        failpoints::disarm_all();
+        let root = tmpdir();
+        let base = db();
+        let opts = SessionOptions {
+            durability: Some(SessionDurability::new(&root)),
+            ..SessionOptions::default()
+        };
+        let mut s = QuerySession::new(base.clone(), opts.clone());
+        s.register("chain", CHAIN, cfg()).unwrap();
+        s.apply_batch(false, &[t(&base, "b", "q", "c")]).unwrap();
+        drop(s);
+        crate::durability::rewrite_format_version(&root, 2);
+        match QuerySession::recover(opts) {
+            Err(SessionError::Recovery { detail }) => {
+                assert!(detail.contains("unsupported version 2"), "{detail}");
+            }
+            Err(other) => panic!("expected a recovery error, got {other:?}"),
+            Ok(_) => panic!("recovered from files of another format version"),
         }
         std::fs::remove_dir_all(&root).unwrap();
     }

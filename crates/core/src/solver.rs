@@ -30,9 +30,7 @@
 
 use crate::plan::SolvePlan;
 use crate::{Inequality, Soi};
-use dualsim_bitmatrix::{
-    BitVec, ChiBackend, ChiVec, KernelBackend, SlabBackend, AUTO_RLE_DENSITY_DIVISOR,
-};
+use dualsim_bitmatrix::{BitVec, ChiBackend, ChiVec, SlabBackend, AUTO_RLE_DENSITY_DIVISOR};
 use dualsim_graph::GraphDb;
 
 /// How each bit-matrix multiplication is evaluated (Sect. 3.3).
@@ -84,45 +82,9 @@ pub enum FixpointMode {
     DeltaCounting,
 }
 
-/// How the delta-counting engine drains its removal worklist.
-///
-/// Both strategies execute the *identical* round-based algorithm — each
-/// round shards the pending removals by inequality (support-counter
-/// slabs are disjoint per inequality), computes every shard's counter
-/// decrements and removal proposals against a frozen χ, and merges the
-/// proposals into χ in inequality order. The only difference is whether
-/// the shard phase runs inline or fans out over scoped worker threads,
-/// so χ, the final solution **and every work counter** are bit-identical
-/// across strategies and thread counts (proptest-pinned).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DrainStrategy {
-    /// Process each round's shards on the calling thread.
-    #[default]
-    Sequential,
-    /// Fan each round's inequality shards out over up to `threads`
-    /// scoped worker threads (`std::thread::scope`), synchronizing only
-    /// at the per-round χ-handoff merge. `threads <= 1` behaves exactly
-    /// like [`DrainStrategy::Sequential`].
-    Sharded {
-        /// Upper bound on worker threads per drain round; the effective
-        /// count is capped by the number of touched inequalities.
-        threads: usize,
-    },
-}
-
-impl DrainStrategy {
-    /// The configured thread budget (1 for the sequential strategy).
-    pub fn threads(self) -> usize {
-        match self {
-            DrainStrategy::Sequential => 1,
-            DrainStrategy::Sharded { threads } => threads.max(1),
-        }
-    }
-}
-
 /// Solver configuration; [`SolverConfig::default`] is the configuration
 /// used for all headline experiments (adaptive strategy, sparsity-first
-/// ordering, summary initialization, early exit, sequential drain).
+/// ordering, summary initialization, early exit).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolverConfig {
     /// Multiplication strategy.
@@ -135,16 +97,6 @@ pub struct SolverConfig {
     /// delta-counting removal propagation). Both reach the same largest
     /// solution; they differ only in how much work each shrink costs.
     pub fixpoint: FixpointMode,
-    /// Worklist draining of the delta-counting engine: inline or sharded
-    /// across scoped threads. Ignored by [`FixpointMode::Reevaluate`].
-    pub drain: DrainStrategy,
-    /// Adaptive drain-round threading: a round whose pending-removal
-    /// batch is smaller than this volume runs its shards inline even
-    /// under [`DrainStrategy::Sharded`] — spawning scoped threads for a
-    /// handful of removals costs more than the work itself. Invisible
-    /// to χ and to every work counter (threading never changes logical
-    /// work), so every parity gate holds across any threshold.
-    pub drain_inline_below: usize,
     /// χ storage backend: dense bit vectors, run-length encoded ones,
     /// or an automatic per-solve choice from the seeded candidate
     /// density. Both concrete backends produce bit-identical χ and
@@ -161,15 +113,6 @@ pub struct SolverConfig {
     /// ([`SolveStats::slab_peak_words`]). Ignored by
     /// [`FixpointMode::Reevaluate`].
     pub slab_backend: SlabBackend,
-    /// Parallel eager seeding of the delta-counting engine: the
-    /// per-inequality counter seeds at `from_chi` are independent
-    /// (disjoint slabs, frozen χ), so they fan out over up to this many
-    /// scoped worker threads through the same take-slab/merge machinery
-    /// the sharded drain uses. Invisible to χ and to every work counter
-    /// (seeding work is per inequality and merged in inequality order),
-    /// so every parity gate holds across any thread count. `1` seeds
-    /// inline.
-    pub seed_threads: usize,
     /// Abort as soon as a *mandatory* variable loses all candidates: the
     /// query then has no matches and everything can be pruned. Turn this
     /// off to obtain the mathematical largest solution even for
@@ -185,23 +128,6 @@ pub struct SolverConfig {
     /// (the default) never cancels. Cold solves ignore the budget —
     /// it bounds incremental maintenance, not initial convergence.
     pub drain_budget: Option<usize>,
-    /// Record a rollback journal during maintenance epochs so an
-    /// erroring batch can be aborted back to the exact pre-batch state.
-    /// Journaling performs **zero** additional logical work (it only
-    /// appends undo records on mutations that already happen) — the
-    /// `journal_entries` gauge and `experiments incremental --chaos`
-    /// measure its wall-clock cost. Disabling it trades atomicity for
-    /// that constant factor: an erroring batch then poisons the engine
-    /// instead of rolling back. On by default.
-    pub journal: bool,
-    /// Word-level kernel instantiation for the bit-vector/-matrix inner
-    /// loops: portable scalar, 4×-unrolled, SIMD (AVX2 where the CPU
-    /// supports it), or an automatic pick of the best available. All
-    /// instantiations are bit-identical in χ and in every logical work
-    /// counter — the kernel moves the same words faster, it never
-    /// changes *which* words move — so every parity gate holds across
-    /// backends. Resolved once per solve into the [`SolvePlan`].
-    pub kernel_backend: KernelBackend,
 }
 
 impl Default for SolverConfig {
@@ -211,15 +137,10 @@ impl Default for SolverConfig {
             ordering: IneqOrdering::SparsityFirst,
             init: InitMode::Summaries,
             fixpoint: FixpointMode::Reevaluate,
-            drain: DrainStrategy::Sequential,
-            drain_inline_below: 64,
             chi_backend: ChiBackend::Dense,
             slab_backend: SlabBackend::Dense,
-            seed_threads: 1,
             early_exit: true,
             drain_budget: None,
-            journal: true,
-            kernel_backend: KernelBackend::Auto,
         }
     }
 }
@@ -262,17 +183,15 @@ pub struct SolveStats {
     /// `counter_decrements` — are identical either way; this gauge
     /// counts the row-pointer loads the run-aware drain saves. Like the
     /// storage gauges it is **not** a logical work counter: it is
-    /// deterministic per χ backend (identical across slab backends,
-    /// drain strategies and thread counts) but differs *between* χ
-    /// backends, so parity gates compare [`SolveStats::logical`].
+    /// deterministic per χ backend (identical across slab backends and
+    /// kernels) but differs *between* χ backends, so parity gates compare [`SolveStats::logical`].
     pub row_lookups: usize,
     /// `(variable, node)` removal events drained from the delta worklist.
     pub delta_removals: usize,
     /// Removal-propagation rounds of the delta drain — the
-    /// cross-inequality χ-handoff points of the sharded strategy.
+    /// cross-inequality χ-handoff points of the round structure.
     pub drain_rounds: usize,
-    /// Per-inequality shard units processed across all drain rounds
-    /// (identical for sequential and sharded drains by construction).
+    /// Per-inequality shard units processed across all drain rounds.
     pub shard_units: usize,
     /// Edge inequalities whose counter seeding was skipped at
     /// initialization because the seeded χ provably satisfies them.
@@ -289,8 +208,7 @@ pub struct SolveStats {
     /// sampled after initialization and at every stabilization pass /
     /// drain round. This is a **storage metric, not a logical work
     /// counter**: it is deterministic for a fixed backend (identical
-    /// across drain strategies and thread counts) but differs *between*
-    /// χ backends — backend-parity gates therefore compare the
+    /// across kernels) but differs *between* χ backends — backend-parity gates therefore compare the
     /// [`SolveStats::logical`] projection.
     pub chi_peak_words: usize,
     /// Peak support-counter storage across the solve, in
@@ -324,9 +242,7 @@ pub struct SolveStats {
     /// the journal's size gauge. Journaling adds **no** logical work
     /// (every entry shadows a mutation that already happened), so like
     /// the storage gauges this is excluded from
-    /// [`SolveStats::logical`]; unlike them it is identical across
-    /// backends, but it differs with [`SolverConfig::journal`] on/off,
-    /// which the parity gates must not see.
+    /// [`SolveStats::logical`].
     pub journal_entries: usize,
     /// A mandatory variable lost all candidates (no matches exist).
     pub emptied_mandatory: bool,
@@ -353,12 +269,10 @@ impl SolveStats {
     /// and the robustness bookkeeping (`rollbacks`, `poisonings`,
     /// `budget_aborts`, `journal_entries`), which records degradation
     /// *events* rather than fixpoint work: an aborted epoch restores
-    /// the logical counters exactly, and the journal gauge depends on
-    /// [`SolverConfig::journal`], so neither belongs in a parity
-    /// comparison. All χ-backend × slab-backend × drain-strategy ×
-    /// thread-count combinations must agree on this projection bit for
-    /// bit (the backend parity discipline, extending the PR-3
-    /// drain-strategy parity).
+    /// the logical counters exactly, and the journal only shadows
+    /// mutations, so neither belongs in a parity comparison. All
+    /// χ-backend × slab-backend × kernel combinations must agree on
+    /// this projection bit for bit (the backend parity discipline).
     pub fn logical(&self) -> SolveStats {
         SolveStats {
             chi_peak_words: 0,
@@ -627,7 +541,6 @@ fn solve_reevaluate(
     let mut counts: Vec<usize> = chi.iter().map(ChiVec::count_ones).collect();
     stats.initial_candidates = counts.iter().sum();
     let plan = SolvePlan::resolve(config, stats.initial_candidates, nv, n);
-    plan.install_kernel();
     plan.apply_chi(&mut chi);
     stats.observe_chi_words(chi_words(&chi));
 

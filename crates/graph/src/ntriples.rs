@@ -143,8 +143,14 @@ fn expect_dot(rest: &str, line: usize) -> Result<(), GraphError> {
     }
 }
 
+/// At most the first 12 bytes of `s`, cut back to a char boundary, for
+/// error messages.
 fn head(s: &str) -> &str {
-    &s[..s.len().min(12)]
+    let mut end = s.len().min(12);
+    while !s.is_char_boundary(end) {
+        end -= 1;
+    }
+    &s[..end]
 }
 
 fn escape(s: &str) -> String {
@@ -243,6 +249,17 @@ mod tests {
         match err {
             GraphError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn multibyte_chars_at_the_error_excerpt_cut_are_parse_errors() {
+        // 'é' straddles byte 12, where the error message excerpt is cut.
+        for line in ["0123456789aé", "..@en_:bé'é", "<a> <b> <c> 0123456789aé"] {
+            match parse_ntriples(line) {
+                Err(GraphError::Parse { line: 1, .. }) => {}
+                other => panic!("{line:?}: {other:?}"),
+            }
         }
     }
 

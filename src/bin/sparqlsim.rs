@@ -32,9 +32,9 @@
 //! rebuild) while the others commit normally.
 
 use dualsim::core::{
-    build_sois, prune, solve_query, ChiBackend, DrainStrategy, DurabilityOptions, EvalStrategy,
-    FixpointMode, IncrementalDualSim, KernelBackend, QueryOutcome, QuerySession,
-    SessionDurability, SessionOptions, SlabBackend, SolverConfig,
+    build_sois, prune, solve_query, ChiBackend, DurabilityOptions, EvalStrategy, FixpointMode,
+    IncrementalDualSim, QueryOutcome, QuerySession, SessionDurability, SessionOptions, SlabBackend,
+    SolverConfig,
 };
 use dualsim::engine::{Engine, HashJoinEngine, NestedLoopEngine};
 use dualsim::graph::{parse_ntriples, write_ntriples, GraphDb};
@@ -89,9 +89,6 @@ options:
   --query-text 'Q'      query given inline
   --strategy S          rowwise | colwise | adaptive   (default adaptive)
   --fixpoint F          reeval | delta                 (default reeval)
-  --fixpoint-threads N  delta: drain the removal worklist sharded over N
-                        scoped threads (default 1 = sequential; identical
-                        solution and work counts for every N)
   --chi-backend B       dense | rle | auto             (default dense)
                         χ storage: dense bit vectors, run-length encoded
                         ones, or a per-solve choice from the seeded
@@ -102,15 +99,6 @@ options:
                         sparse hash counters, or a per-solve choice from
                         the same density bound the χ auto uses; identical
                         solution and logical work counts for every backend
-  --seed-threads N      delta: fan the eager counter seeds out over N
-                        scoped threads (default 1; identical solution and
-                        work counts for every N)
-  --kernel-backend K    scalar | unrolled | simd | auto (default auto)
-                        word-level kernel instantiation for the bit-vector
-                        inner loops: portable scalar, 4x-unrolled, SIMD
-                        (AVX2 with runtime detection and scalar fallback),
-                        or the best available; identical solution and work
-                        counts for every kernel
   --no-early-exit       keep solving after a mandatory variable empties
   --updates FILE        maintain: signed update stream — N-Triples lines
                         prefixed '+' (insert) or '-' (delete); terms must
@@ -148,9 +136,6 @@ options:
                         N logical ops in one batch; the engine rolls the
                         batch back and the next update falls back to a
                         cold re-solve (default unlimited)
-  --no-journal          delta: disable the per-batch rollback journal
-                        (errors then poison the engine instead of
-                        restoring the pre-batch solution)
   --output FILE.nt      prune: write the pruned database as N-Triples
   --engine E            eval: nested | hash            (default nested)
   --limit N             eval: print at most N rows     (default 20)
@@ -179,11 +164,8 @@ struct Opts {
     query_text: Option<String>,
     strategy: EvalStrategy,
     fixpoint: FixpointMode,
-    fixpoint_threads: usize,
     chi_backend: ChiBackend,
     slab_backend: SlabBackend,
-    kernel_backend: KernelBackend,
-    seed_threads: usize,
     early_exit: bool,
     updates: Option<String>,
     wal: Option<String>,
@@ -193,7 +175,6 @@ struct Opts {
     resume: bool,
     on_error: OnError,
     drain_budget: Option<usize>,
-    journal: bool,
     output: Option<String>,
     engine: String,
     limit: usize,
@@ -209,11 +190,8 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         query_text: None,
         strategy: EvalStrategy::Adaptive,
         fixpoint: FixpointMode::Reevaluate,
-        fixpoint_threads: 1,
         chi_backend: ChiBackend::Dense,
         slab_backend: SlabBackend::Dense,
-        kernel_backend: KernelBackend::Auto,
-        seed_threads: 1,
         early_exit: true,
         updates: None,
         wal: None,
@@ -223,7 +201,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
         resume: false,
         on_error: OnError::Abort,
         drain_budget: None,
-        journal: true,
         output: None,
         engine: "nested".to_owned(),
         limit: 20,
@@ -272,7 +249,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                         .map_err(|e| format!("--drain-budget: {e}"))?,
                 );
             }
-            "--no-journal" => opts.journal = false,
             "--query" => opts.query = Some(value()?),
             "--query-text" => opts.query_text = Some(value()?),
             "--output" => opts.output = Some(value()?),
@@ -295,14 +271,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                     other => return Err(format!("unknown fixpoint engine {other:?}")),
                 };
             }
-            "--fixpoint-threads" => {
-                opts.fixpoint_threads = value()?
-                    .parse()
-                    .map_err(|e| format!("--fixpoint-threads: {e}"))?;
-                if opts.fixpoint_threads == 0 {
-                    return Err("--fixpoint-threads must be at least 1".into());
-                }
-            }
             "--chi-backend" => {
                 let name = value()?;
                 opts.chi_backend = ChiBackend::from_name(&name)
@@ -312,19 +280,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
                 let name = value()?;
                 opts.slab_backend = SlabBackend::from_name(&name)
                     .ok_or_else(|| format!("unknown slab backend {name:?}"))?;
-            }
-            "--kernel-backend" => {
-                let name = value()?;
-                opts.kernel_backend = KernelBackend::from_name(&name)
-                    .ok_or_else(|| format!("unknown kernel backend {name:?}"))?;
-            }
-            "--seed-threads" => {
-                opts.seed_threads = value()?
-                    .parse()
-                    .map_err(|e| format!("--seed-threads: {e}"))?;
-                if opts.seed_threads == 0 {
-                    return Err("--seed-threads must be at least 1".into());
-                }
             }
             "--no-early-exit" => opts.early_exit = false,
             "--pruned" => opts.pruned = true,
@@ -929,20 +884,10 @@ fn config(opts: &Opts) -> SolverConfig {
     SolverConfig {
         strategy: opts.strategy,
         fixpoint: opts.fixpoint,
-        drain: if opts.fixpoint_threads > 1 {
-            DrainStrategy::Sharded {
-                threads: opts.fixpoint_threads,
-            }
-        } else {
-            DrainStrategy::Sequential
-        },
         chi_backend: opts.chi_backend,
         slab_backend: opts.slab_backend,
-        kernel_backend: opts.kernel_backend,
-        seed_threads: opts.seed_threads,
         early_exit: opts.early_exit,
         drain_budget: opts.drain_budget,
-        journal: opts.journal,
         ..SolverConfig::default()
     }
 }
@@ -1097,6 +1042,38 @@ fn cmd_eval(db: &GraphDb, query: &Query, opts: &Opts) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Pieces the no-panic fuzz strings are assembled from: term
+    /// delimiters, quotes, escapes, `@`/`^^` annotations, update signs,
+    /// query syntax, multi-byte chars, and a filler that puts the next
+    /// piece across the 12-byte cut of the N-Triples error excerpt.
+    #[rustfmt::skip]
+    const FUZZ_PIECES: &[&str] = &[
+        "<", ">", "\"", "\\", "\\n", "\\u00e9", "\\\"", "@", "@en", "@en-GB", "^^", "^^<x>",
+        " ", "\t", "\n", ".", "+", "-", "#", "_:", "é", "中", "𝕏", "'", "a", "p", "<a>", "<p>",
+        "<b>", "\"lit\"", "?x", "?y", "{", "}", "OPTIONAL", "UNION", "AND", "0123456789a",
+    ];
+
+    proptest! {
+        /// No malformed input reaches a panic: the N-Triples parser, the
+        /// query parser and the update-line parser each return a typed
+        /// error (or `Ok`) on random strings over [`FUZZ_PIECES`]. A
+        /// failing case prints the input, which replays it directly.
+        #[test]
+        fn no_malformed_input_panics_a_parser(
+            picks in proptest::collection::vec(0usize..FUZZ_PIECES.len(), 0..24),
+        ) {
+            let text: String = picks.iter().map(|&i| FUZZ_PIECES[i]).collect();
+            let db = parse_ntriples("<a> <p> <b> .\n").unwrap();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _ = parse_ntriples(&text);
+                let _ = parse(&text);
+                let _ = parse_update_line(&text, 1, &db);
+            }));
+            prop_assert!(outcome.is_ok(), "a parser panicked on {:?}", text);
+        }
+    }
 
     #[test]
     fn parse_args_reads_flags() {
@@ -1110,14 +1087,10 @@ mod tests {
             "rowwise",
             "--fixpoint",
             "delta",
-            "--fixpoint-threads",
-            "4",
             "--chi-backend",
             "rle",
             "--slab-backend",
             "sparse",
-            "--seed-threads",
-            "3",
             "--no-early-exit",
             "--limit",
             "7",
@@ -1130,10 +1103,8 @@ mod tests {
         assert_eq!(opts.data.as_deref(), Some("db.nt"));
         assert_eq!(opts.strategy, EvalStrategy::RowWise);
         assert_eq!(opts.fixpoint, FixpointMode::DeltaCounting);
-        assert_eq!(opts.fixpoint_threads, 4);
         assert_eq!(opts.chi_backend, ChiBackend::Rle);
         assert_eq!(opts.slab_backend, SlabBackend::Sparse);
-        assert_eq!(opts.seed_threads, 3);
         assert!(!opts.early_exit);
         assert_eq!(opts.limit, 7);
     }
@@ -1151,7 +1122,10 @@ mod tests {
                 .collect();
             assert_eq!(parse_args(&args).unwrap().slab_backend, expected);
         }
-        for bad in [&["solve", "--slab-backend", "rle"][..], &["solve", "--seed-threads", "0"][..]] {
+        for bad in [
+            &["solve", "--slab-backend", "rle"][..],
+            &["solve", "--slab-backend"][..],
+        ] {
             let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(parse_args(&args).is_err(), "{bad:?}");
         }
@@ -1171,27 +1145,6 @@ mod tests {
             assert_eq!(parse_args(&args).unwrap().chi_backend, expected);
         }
         let args: Vec<String> = ["solve", "--chi-backend", "sparse"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(parse_args(&args).is_err());
-    }
-
-    #[test]
-    fn parse_args_accepts_every_kernel_backend_and_rejects_unknown_ones() {
-        for (name, expected) in [
-            ("scalar", KernelBackend::Scalar),
-            ("unrolled", KernelBackend::Unrolled),
-            ("simd", KernelBackend::Simd),
-            ("auto", KernelBackend::Auto),
-        ] {
-            let args: Vec<String> = ["solve", "--kernel-backend", name]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            assert_eq!(parse_args(&args).unwrap().kernel_backend, expected);
-        }
-        let args: Vec<String> = ["solve", "--kernel-backend", "avx512"]
             .iter()
             .map(|s| s.to_string())
             .collect();
@@ -1317,7 +1270,6 @@ mod tests {
             "rollback",
             "--drain-budget",
             "5000",
-            "--no-journal",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -1325,7 +1277,6 @@ mod tests {
         let opts = parse_args(&args).unwrap();
         assert_eq!(opts.on_error, OnError::Rollback);
         assert_eq!(opts.drain_budget, Some(5000));
-        assert!(!opts.journal);
 
         for (name, expected) in [("skip", OnError::Skip), ("abort", OnError::Abort)] {
             let args: Vec<String> = ["maintain", "--on-error", name]
