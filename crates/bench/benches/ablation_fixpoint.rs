@@ -55,14 +55,8 @@ fn incremental_deletions(c: &mut Criterion) {
         let db = data.for_query(&bench);
         let soi = build_sois(db, &bench.query).remove(0);
         // Delete every 25th triple in one batch.
-        let all: Vec<Triple> = db.triples().collect();
-        let deleted: Vec<Triple> = all.iter().copied().step_by(25).collect();
-        let remaining: Vec<Triple> = all
-            .iter()
-            .copied()
-            .filter(|t| !deleted.contains(t))
-            .collect();
-        let db_after = db.with_triples(&remaining).unwrap();
+        let deleted: Vec<Triple> = db.triples().step_by(25).collect();
+        let db_after = db.apply(false, &deleted).unwrap();
         for (name, fixpoint) in FIXPOINT_MODES {
             let cfg = SolverConfig {
                 fixpoint,

@@ -541,9 +541,7 @@ pub fn run_fixpoint_incremental(
             Some(soi) => soi,
             None => continue,
         };
-        let all: Vec<dualsim_graph::Triple> = db.triples().collect();
-        let victims: Vec<dualsim_graph::Triple> =
-            all.iter().copied().step_by(stride.max(1)).collect();
+        let victims: Vec<dualsim_graph::Triple> = db.triples().step_by(stride.max(1)).collect();
         let chunk = victims.len().div_ceil(batches.max(1)).max(1);
 
         let mut per_mode: Vec<(Vec<_>, IncrementalFixpointRow)> = Vec::new();
@@ -554,17 +552,14 @@ pub fn run_fixpoint_incremental(
                 ..SolverConfig::default()
             };
             let mut inc = IncrementalDualSim::new(db, soi.clone(), cfg);
-            let mut remaining = all.clone();
+            let mut db_after = db.clone();
             let mut wall = Duration::ZERO;
             let mut ops = 0usize;
             let mut dropped = 0usize;
             let mut n_batches = 0usize;
             let mut snapshots = Vec::new();
             for batch in victims.chunks(chunk) {
-                let batch_set: std::collections::HashSet<dualsim_graph::Triple> =
-                    batch.iter().copied().collect();
-                remaining.retain(|t| !batch_set.contains(t));
-                let db_after = db.with_triples(&remaining).unwrap();
+                db_after = db_after.apply(false, batch).unwrap();
                 let before_ops = inc.solution().stats.work_ops();
                 let start = Instant::now();
                 dropped += inc.apply_deletions(&db_after, batch).unwrap();
@@ -744,14 +739,8 @@ pub fn run_incremental_churn(
             Some(soi) => soi,
             None => continue,
         };
-        let all: Vec<Triple> = db.triples().collect();
-        let victims: Vec<Triple> = all.iter().copied().step_by(stride.max(1)).collect();
-        let victim_set: std::collections::HashSet<Triple> = victims.iter().copied().collect();
-        let without: Vec<Triple> = all
-            .iter()
-            .copied()
-            .filter(|t| !victim_set.contains(t))
-            .collect();
+        let victims: Vec<Triple> = db.triples().step_by(stride.max(1)).collect();
+        let without = db.apply(false, &victims).unwrap();
         let chunk = victims.len().div_ceil(batches.max(1)).max(1);
 
         let chunks: Vec<Vec<Triple>> = victims.chunks(chunk).map(<[Triple]>::to_vec).collect();
@@ -761,9 +750,9 @@ pub fn run_incremental_churn(
             .iter()
             .flat_map(|c| [(true, c.clone()), (false, c.clone())])
             .collect();
-        let scenarios: [(&str, &[Triple], Script); 3] = [
+        let scenarios: [(&str, &GraphDb, Script); 3] = [
             ("inserts", &without, insert_script),
-            ("deletes", &all, delete_script),
+            ("deletes", db, delete_script),
             ("mixed", &without, mixed_script),
         ];
 
@@ -775,24 +764,19 @@ pub fn run_incremental_churn(
                     early_exit: false,
                     ..SolverConfig::default()
                 };
-                let db_start = db.with_triples(start).unwrap();
-                let mut inc = IncrementalDualSim::new(&db_start, soi.clone(), cfg);
-                let mut present: Vec<Triple> = start.to_vec();
+                let mut db_after = start.clone();
+                let mut inc = IncrementalDualSim::new(&db_after, soi.clone(), cfg);
                 let mut wall = Duration::ZERO;
                 let (mut ops, mut reactivations) = (0usize, 0usize);
                 let (mut inserted, mut deleted, mut warm_batches) = (0usize, 0usize, 0usize);
                 let mut snapshots = Vec::new();
                 for (insert, batch) in &script {
                     if *insert {
-                        present.extend(batch.iter().copied());
                         inserted += batch.len();
                     } else {
-                        let batch_set: std::collections::HashSet<Triple> =
-                            batch.iter().copied().collect();
-                        present.retain(|t| !batch_set.contains(t));
                         deleted += batch.len();
                     }
-                    let db_after = db.with_triples(&present).unwrap();
+                    db_after = db_after.apply(*insert, batch).unwrap();
                     let before = inc.solution().stats.clone();
                     let start_t = Instant::now();
                     if *insert {
@@ -898,14 +882,8 @@ pub fn run_incremental_chaos(
             Some(soi) => soi,
             None => continue,
         };
-        let all: Vec<Triple> = db.triples().collect();
-        let victims: Vec<Triple> = all.iter().copied().step_by(stride.max(1)).collect();
-        let victim_set: std::collections::HashSet<Triple> = victims.iter().copied().collect();
-        let without: Vec<Triple> = all
-            .iter()
-            .copied()
-            .filter(|t| !victim_set.contains(t))
-            .collect();
+        let victims: Vec<Triple> = db.triples().step_by(stride.max(1)).collect();
+        let without = db.apply(false, &victims).unwrap();
         let chunk = victims.len().div_ceil(batches.max(1)).max(1);
         let chunks: Vec<Vec<Triple>> = victims.chunks(chunk).map(<[Triple]>::to_vec).collect();
         let script: Vec<(bool, Vec<Triple>)> = chunks
@@ -919,20 +897,12 @@ pub fn run_incremental_chaos(
                 early_exit: false,
                 ..SolverConfig::default()
             };
-            let db_start = db.with_triples(&without).unwrap();
-            let mut inc = IncrementalDualSim::new(&db_start, soi.clone(), cfg.clone());
-            let mut present: Vec<Triple> = without.clone();
+            let mut db_after = without.clone();
+            let mut inc = IncrementalDualSim::new(&db_after, soi.clone(), cfg.clone());
             let (mut killed, mut rollback_wall) = (0usize, Duration::ZERO);
             let (mut recovery_wall, mut maintain_wall) = (Duration::ZERO, Duration::ZERO);
             for (k, (insert, batch)) in script.iter().enumerate() {
-                if *insert {
-                    present.extend(batch.iter().copied());
-                } else {
-                    let batch_set: std::collections::HashSet<Triple> =
-                        batch.iter().copied().collect();
-                    present.retain(|t| !batch_set.contains(t));
-                }
-                let db_after = db.with_triples(&present).unwrap();
+                db_after = db_after.apply(*insert, batch).unwrap();
                 // Kill every other batch on its first pass through the
                 // site; the countdown keeps the schedule deterministic.
                 let inject = k % 2 == 0;
@@ -967,8 +937,7 @@ pub fn run_incremental_chaos(
                 }
             }
             failpoints::disarm_all();
-            let db_final = db.with_triples(&present).unwrap();
-            let cold = solve(&db_final, &soi, &cfg);
+            let cold = solve(&db_after, &soi, &cfg);
             let recovered = inc.solution().chi == cold.chi;
             rows.push(ChaosChurnRow {
                 id: format!("{}-chaos", bench.id),
@@ -1167,8 +1136,7 @@ pub fn run_durability(
             Some(soi) => soi,
             None => continue,
         };
-        let all: Vec<Triple> = db.triples().collect();
-        let victims: Vec<Triple> = all.iter().copied().step_by(stride.max(1)).collect();
+        let victims: Vec<Triple> = db.triples().step_by(stride.max(1)).collect();
         let chunk = victims.len().div_ceil(batches.max(1)).max(1);
         let chunks: Vec<Vec<Triple>> = victims.chunks(chunk).map(<[Triple]>::to_vec).collect();
         let cfg = SolverConfig {
@@ -1197,14 +1165,11 @@ pub fn run_durability(
             } else {
                 IncrementalDualSim::new(db, soi.clone(), cfg.clone())
             };
-            let mut present: Vec<Triple> = all.clone();
+            let mut db_after = db.clone();
             let mut wall = Duration::ZERO;
             let mut snapshots = Vec::new();
             for batch in &chunks {
-                let batch_set: std::collections::HashSet<Triple> =
-                    batch.iter().copied().collect();
-                present.retain(|t| !batch_set.contains(t));
-                let db_after = db.with_triples(&present).unwrap();
+                db_after = db_after.apply(false, batch).unwrap();
                 let start_t = Instant::now();
                 inc.apply_deletions(&db_after, batch).unwrap();
                 wall += start_t.elapsed();
@@ -1218,8 +1183,7 @@ pub fn run_durability(
             // The snapshot-size axis: serialize the *final* resident
             // state once, after the stream (off the maintenance clock).
             let snapshot_bytes = if durable {
-                let db_final = db.with_triples(&present).unwrap();
-                inc.snapshot_now(&db_final).expect("final snapshot");
+                inc.snapshot_now(&db_after).expect("final snapshot");
                 newest_snapshot(&dir).map_or(0, |(_, len)| len)
             } else {
                 0
@@ -1234,7 +1198,7 @@ pub fn run_durability(
                     ops: inc.maintenance_stats().work_ops(),
                     wal_bytes,
                     snapshot_bytes,
-                    db_triples: present.len(),
+                    db_triples: db_after.num_triples(),
                 },
             ));
             if durable && fsync {
@@ -1267,15 +1231,12 @@ pub fn run_durability(
             // cheaply via chi snapshots? χ is in ref_snapshots; logical
             // stats need a live instance, so rebuild one.
             let mut inc = IncrementalDualSim::new(db, soi.clone(), cfg.clone());
-            let mut present: Vec<Triple> = all.clone();
+            let mut db_after = db.clone();
             for batch in &chunks {
-                let batch_set: std::collections::HashSet<Triple> =
-                    batch.iter().copied().collect();
-                present.retain(|t| !batch_set.contains(t));
-                let db_after = db.with_triples(&present).unwrap();
+                db_after = db_after.apply(false, batch).unwrap();
                 inc.apply_deletions(&db_after, batch).unwrap();
             }
-            (inc, present)
+            (inc, db_after)
         };
         // The final sizing snapshot would make recovery trivial (zero
         // records replayed); drop it so the measured restart is the
@@ -1287,9 +1248,8 @@ pub fn run_durability(
         let start_t = Instant::now();
         let rec = IncrementalDualSim::recover(&opts).expect("recovery");
         let recovery_wall = start_t.elapsed();
-        let db_final = db.with_triples(&plain.1).unwrap();
         let start_t = Instant::now();
-        let cold = solve(&db_final, &soi, &cfg);
+        let cold = solve(&plain.1, &soi, &cfg);
         let cold_wall = start_t.elapsed();
         let recovered = rec.sim.solution().chi == plain.0.solution().chi
             && rec.sim.maintenance_stats().logical() == plain.0.maintenance_stats().logical()
@@ -1325,8 +1285,7 @@ pub fn run_durability_crash(data: &Datasets, ids: &[&str]) -> Vec<CrashKillRow> 
             Some(soi) => soi,
             None => continue,
         };
-        let all: Vec<Triple> = db.triples().collect();
-        let victims: Vec<Triple> = all.iter().copied().step_by(3).collect();
+        let victims: Vec<Triple> = db.triples().step_by(3).collect();
         let chunk = victims.len().div_ceil(2).max(1);
         // A mixed script — delete a chunk, insert it back — so both the
         // decrement/drain sites and the insertion frontier's increment
@@ -1348,19 +1307,9 @@ pub fn run_durability_crash(data: &Datasets, ids: &[&str]) -> Vec<CrashKillRow> 
             opts.snapshot_every = Some(2);
             let mut inc = IncrementalDualSim::new_durable(db, soi.clone(), cfg.clone(), &opts)
                 .expect("durable construction");
-            let mut present: Vec<Triple> = all.clone();
             let mut killed = false;
+            let mut db_after = db.clone();
             for (k, (insert, batch)) in script.iter().enumerate() {
-                let batch_set: std::collections::HashSet<Triple> =
-                    batch.iter().copied().collect();
-                let mut next = present.clone();
-                if *insert {
-                    next.extend(batch.iter().copied());
-                    next.sort_unstable();
-                } else {
-                    next.retain(|t| !batch_set.contains(t));
-                }
-                let db_after = db.with_triples(&next).unwrap();
                 if k == 1 {
                     failpoints::arm(site, 0);
                     if site == "rollback" {
@@ -1369,20 +1318,18 @@ pub fn run_durability_crash(data: &Datasets, ids: &[&str]) -> Vec<CrashKillRow> 
                         failpoints::arm("pre-drain", 0);
                     }
                 }
+                db_after = db_after.apply(*insert, batch).unwrap();
                 let applied = if *insert {
                     inc.apply_insertions(&db_after, batch).map(|_| ())
                 } else {
                     inc.apply_deletions(&db_after, batch).map(|_| ())
                 };
-                match applied {
-                    Ok(()) => present = next,
-                    Err(_) => {
-                        // The kill: drop the resident instance with the
-                        // failure un-handled, exactly like a dying
-                        // process would.
-                        killed = true;
-                        break;
-                    }
+                if applied.is_err() {
+                    // The kill: drop the resident instance with the
+                    // failure un-handled, exactly like a dying process
+                    // would.
+                    killed = true;
+                    break;
                 }
             }
             failpoints::disarm_all();
@@ -1394,17 +1341,9 @@ pub fn run_durability_crash(data: &Datasets, ids: &[&str]) -> Vec<CrashKillRow> 
             let committed = rec.report.epoch;
             // Uninterrupted reference over the committed prefix.
             let mut reference = IncrementalDualSim::new(db, soi.clone(), cfg.clone());
-            let mut present: Vec<Triple> = all.clone();
+            let mut db_after = db.clone();
             for (insert, batch) in script.iter().take(committed as usize) {
-                let batch_set: std::collections::HashSet<Triple> =
-                    batch.iter().copied().collect();
-                if *insert {
-                    present.extend(batch.iter().copied());
-                    present.sort_unstable();
-                } else {
-                    present.retain(|t| !batch_set.contains(t));
-                }
-                let db_after = db.with_triples(&present).unwrap();
+                db_after = db_after.apply(*insert, batch).unwrap();
                 if *insert {
                     reference.apply_insertions(&db_after, batch).unwrap();
                 } else {

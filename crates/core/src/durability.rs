@@ -238,9 +238,9 @@ pub struct DurabilityOptions {
     /// rename (the crash-consistency guarantee). Benches may disable
     /// this to measure the pure serialization overhead.
     pub fsync: bool,
-    /// Opaque caller metadata stored in every snapshot (the CLI stores
-    /// the query text and union-branch index here); recovery hands it
-    /// back verbatim.
+    /// Opaque caller metadata stored in every snapshot (a session
+    /// stores the query text here); recovery hands it back verbatim and
+    /// keeps writing it, ignoring this field of the recovery options.
     pub meta: String,
     /// Snapshot retention: after every successful snapshot write, only
     /// the newest `keep_snapshots` snapshot files are kept and older
@@ -1226,10 +1226,7 @@ fn scan_wal(path: &Path) -> Result<WalScan, MaintainError> {
     }
     let bytes = fs::read(path).map_err(|e| io_err("wal read", e))?;
     let file_len = bytes.len() as u64;
-    if bytes.len() < WAL_HEADER_LEN as usize
-        || &bytes[0..4] != WAL_MAGIC
-        || u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) != FORMAT_VERSION
-    {
+    if bytes.len() < WAL_HEADER_LEN as usize || &bytes[0..4] != WAL_MAGIC {
         // A torn-or-corrupted header invalidates the whole log; the
         // records are unrecoverable, the snapshot is authoritative.
         return Ok(WalScan {
@@ -1237,6 +1234,15 @@ fn scan_wal(path: &Path) -> Result<WalScan, MaintainError> {
             valid_end: 0,
             file_len,
         });
+    }
+    // A log written by another format version is intact but unreadable:
+    // refuse it, as snapshots are refused, rather than drop its records.
+    let version = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]);
+    if version != FORMAT_VERSION {
+        return Err(corrupt(format!(
+            "{}: unsupported version {version}",
+            path.display()
+        )));
     }
     let mut records = Vec::new();
     let mut pos = WAL_HEADER_LEN as usize;
@@ -1413,19 +1419,10 @@ fn replay(
     };
     let mut sim =
         IncrementalDualSim::from_restored(soi, config, engine, solution, warm, snapshot_epoch);
-    let mut present: std::collections::BTreeSet<Triple> = db.triples().collect();
     let mut db = db;
     for record in tail {
-        for t in &record.batch {
-            if record.insert {
-                present.insert(*t);
-            } else {
-                present.remove(t);
-            }
-        }
-        let triples: Vec<Triple> = present.iter().copied().collect();
         let db_after = db
-            .with_triples(&triples)
+            .apply(record.insert, &record.batch)
             .map_err(|e| corrupt(format!("wal replay epoch {}: {e}", record.epoch)))?;
         if record.insert {
             sim.apply_insertions(&db_after, &record.batch)?;
@@ -1441,7 +1438,13 @@ fn replay(
     } else {
         scan.valid_end.max(WAL_HEADER_LEN)
     };
-    sim.attach_recovered(Durability::open_for_append(opts, committed_len)?);
+    // The re-attached log keeps the recovered metadata: snapshots
+    // written from here on must carry it forward, not the caller's.
+    let opts = DurabilityOptions {
+        meta: meta.clone(),
+        ..opts.clone()
+    };
+    sim.attach_recovered(Durability::open_for_append(&opts, committed_len)?);
     Ok(Recovered {
         sim,
         db,

@@ -134,8 +134,9 @@ impl IncrementalDualSim {
     /// # Errors
     ///
     /// [`MaintainError::Io`] if the directory cannot be read, and
-    /// [`MaintainError::Corrupt`] if no snapshot passes validation or
-    /// the WAL cannot extend any verified snapshot gap-free.
+    /// [`MaintainError::Corrupt`] if no snapshot passes validation, the
+    /// WAL was written by another format version, or the WAL cannot
+    /// extend any verified snapshot gap-free.
     pub fn recover(opts: &DurabilityOptions) -> Result<Recovered, MaintainError> {
         durability::recover(opts)
     }
@@ -920,6 +921,22 @@ mod tests {
             .apply_deletions(&db0.with_triples(&triples).unwrap(), &[victim])
             .unwrap();
         drop(durable);
+        // Only the WAL from another version, over a valid snapshot: its
+        // committed record must not silently vanish.
+        let wal = dir.join("wal.log");
+        let valid = std::fs::read(&wal).unwrap();
+        let mut other = valid.clone();
+        other[4..8].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&wal, &other).unwrap();
+        match IncrementalDualSim::recover(&opts) {
+            Err(MaintainError::Corrupt { detail }) => {
+                assert!(detail.contains("unsupported version 2"), "{detail}");
+            }
+            other => panic!("expected an unsupported-version WAL error, got {other:?}"),
+        }
+        std::fs::write(&wal, &valid).unwrap();
+        assert_eq!(IncrementalDualSim::recover(&opts).unwrap().report.epoch, 1);
+
         crate::durability::rewrite_format_version(&dir, 2);
         match IncrementalDualSim::recover(&opts) {
             Err(MaintainError::Corrupt { detail }) => {

@@ -303,10 +303,9 @@ struct RegisteredQuery {
     /// may hold fewer (heal rebuilds the full set from `text`).
     branches: Vec<IncrementalDualSim>,
     health: QueryHealth,
-    /// Triple set of the graph this query last fully reflected; the
-    /// replay base for healing. `None` forces the next due heal to a
-    /// cold rebuild.
-    base: Option<BTreeSet<Triple>>,
+    /// The graph this query last fully reflected; the replay base for
+    /// healing. `None` forces the next due heal to a cold rebuild.
+    base: Option<GraphDb>,
     /// Missed effective batches since degradation, oldest first.
     backlog: VecDeque<(bool, Vec<Triple>)>,
 }
@@ -363,9 +362,6 @@ pub struct SessionRecovery {
 #[derive(Debug)]
 pub struct QuerySession {
     db: GraphDb,
-    /// The current triple set (the session's own dedup/no-op filter and
-    /// the healing replay bases are set operations over it).
-    present: BTreeSet<Triple>,
     queries: BTreeMap<String, RegisteredQuery>,
     /// Committed shared batches.
     epoch: u64,
@@ -376,10 +372,8 @@ pub struct QuerySession {
 impl QuerySession {
     /// Opens a session over `db` with no registered queries.
     pub fn new(db: GraphDb, opts: SessionOptions) -> Self {
-        let present = db.triples().collect();
         QuerySession {
             db,
-            present,
             queries: BTreeMap::new(),
             epoch: 0,
             opts,
@@ -474,7 +468,7 @@ impl QuerySession {
             if !seen.insert(*t) {
                 continue;
             }
-            if insert == self.present.contains(t) {
+            if insert == self.db.contains_triple(*t) {
                 noops += 1;
                 continue;
             }
@@ -497,16 +491,7 @@ impl QuerySession {
             });
         }
 
-        let mut next_present = self.present.clone();
-        for t in &batch {
-            if insert {
-                next_present.insert(*t);
-            } else {
-                next_present.remove(t);
-            }
-        }
-        let next_triples: Vec<Triple> = next_present.iter().copied().collect();
-        let db_after = self.db.with_triples(&next_triples).map_err(|e| {
+        let db_after = self.db.apply(insert, &batch).map_err(|e| {
             SessionError::Batch {
                 error: MaintainError::Corrupt {
                     detail: format!("validated batch failed graph rebuild: {e}"),
@@ -520,7 +505,6 @@ impl QuerySession {
             let outcome = match &q.health {
                 QueryHealth::Healthy => fan_healthy(
                     q,
-                    &self.present,
                     &self.db,
                     &db_after,
                     insert,
@@ -555,7 +539,6 @@ impl QuerySession {
         }
 
         self.db = db_after;
-        self.present = next_present;
         self.epoch = target_epoch;
         self.stats.batches += 1;
         Ok(BatchReport {
@@ -588,9 +571,8 @@ impl QuerySession {
             return Ok(());
         }
         if q.base.is_some() {
-            if replay_backlog(q, &self.db, &mut self.stats) {
+            if replay_backlog(q, &mut self.stats) {
                 q.health = QueryHealth::Healthy;
-                q.base = None;
                 self.stats.replay_heals += 1;
                 return Ok(());
             }
@@ -1028,13 +1010,12 @@ fn fan_branches(
 
 /// A healthy query's share of the fan-out: the session failpoint, then
 /// the batch through every branch, with the health transition on
-/// failure. `pre_present` is the session's pre-batch triple set — the
-/// graph a cleanly rolled-back query still reflects, and therefore the
-/// replay base should the batch fail.
+/// failure. `db_before` is the session's pre-batch graph — the graph a
+/// cleanly rolled-back query still reflects, and therefore the replay
+/// base should the batch fail.
 #[allow(clippy::too_many_arguments)]
 fn fan_healthy(
     q: &mut RegisteredQuery,
-    pre_present: &BTreeSet<Triple>,
     db_before: &GraphDb,
     db_after: &GraphDb,
     insert: bool,
@@ -1062,7 +1043,7 @@ fn fan_healthy(
             stats.failures += 1;
             degrade(
                 q,
-                pre_present,
+                db_before,
                 insert,
                 batch,
                 target_epoch,
@@ -1084,7 +1065,7 @@ fn fan_healthy(
 #[allow(clippy::too_many_arguments)]
 fn degrade(
     q: &mut RegisteredQuery,
-    pre_present: &BTreeSet<Triple>,
+    db_before: &GraphDb,
     insert: bool,
     batch: &[Triple],
     target_epoch: u64,
@@ -1104,7 +1085,7 @@ fn degrade(
         q.base = None;
         q.backlog.clear();
     } else {
-        q.base = Some(pre_present.clone());
+        q.base = Some(db_before.clone());
         q.backlog.clear();
         q.backlog.push_back((insert, batch.to_vec()));
     }
@@ -1159,9 +1140,8 @@ fn heal_due(
     push_backlog(q, insert, batch, opts.max_backlog);
     let attempt = attempts.saturating_add(1);
     if attempt <= opts.max_retries && q.base.is_some() {
-        if replay_backlog(q, db_after, stats) {
+        if replay_backlog(q, stats) {
             q.health = QueryHealth::Healthy;
-            q.base = None;
             stats.replay_heals += 1;
             let post = q.candidates();
             return QueryOutcome::Healed {
@@ -1209,46 +1189,32 @@ fn heal_due(
 }
 
 /// Replays a degraded query's backlog through the ordinary maintenance
-/// paths, reconstructing each intermediate graph from the replay base —
-/// so a successfully replayed query is bit-identical (χ *and* logical
-/// stats) to one that never failed. Committed prefix batches are popped
-/// as they land; returns `true` iff the backlog drained fully.
-fn replay_backlog(q: &mut RegisteredQuery, vocab_db: &GraphDb, stats: &mut SessionStats) -> bool {
-    let Some(mut cur) = q.base.clone() else {
+/// paths, deriving each intermediate graph from the replay base — so a
+/// successfully replayed query is bit-identical (χ *and* logical stats)
+/// to one that never failed. Committed prefix batches are popped as
+/// they land; returns `true` iff the backlog drained fully, which
+/// consumes the base.
+fn replay_backlog(q: &mut RegisteredQuery, stats: &mut SessionStats) -> bool {
+    let Some(mut cur) = q.base.take() else {
         return q.backlog.is_empty();
     };
-    let cur_vec: Vec<Triple> = cur.iter().copied().collect();
-    let Ok(mut cur_db) = vocab_db.with_triples(&cur_vec) else {
-        q.base = None;
-        q.backlog.clear();
-        return false;
-    };
     while let Some((insert, batch)) = q.backlog.front().cloned() {
-        let mut next = cur.clone();
-        for t in &batch {
-            if insert {
-                next.insert(*t);
-            } else {
-                next.remove(t);
-            }
-        }
-        let next_vec: Vec<Triple> = next.iter().copied().collect();
-        let Ok(next_db) = vocab_db.with_triples(&next_vec) else {
-            q.base = None;
+        let Ok(next) = cur.apply(insert, &batch) else {
             q.backlog.clear();
             return false;
         };
-        match fan_branches(q, &cur_db, &next_db, insert, &batch, stats) {
+        match fan_branches(q, &cur, &next, insert, &batch, stats) {
             Ok(_) => {
                 q.backlog.pop_front();
                 cur = next;
-                cur_db = next_db;
-                q.base = Some(cur.clone());
             }
             Err((_, undo_failed)) => {
+                // A clean rollback keeps the last committed graph as the
+                // base; an inconsistent undo forfeits replay.
                 if undo_failed {
-                    q.base = None;
                     q.backlog.clear();
+                } else {
+                    q.base = Some(cur);
                 }
                 return false;
             }
@@ -1314,12 +1280,13 @@ fn quarantine_at(
 }
 
 /// `true` iff two databases (sharing a vocabulary lineage) hold the
-/// same triple set.
+/// same triple set. `triples()` enumerates in (label, subject, object)
+/// order, so equal sets yield equal sequences.
 fn same_triples(a: &GraphDb, b: &GraphDb) -> bool {
     a.num_triples() == b.num_triples()
         && a.num_nodes() == b.num_nodes()
         && a.num_labels() == b.num_labels()
-        && a.triples().collect::<BTreeSet<_>>() == b.triples().collect::<BTreeSet<_>>()
+        && a.triples().eq(b.triples())
 }
 
 /// The `query-<name>` directories under a session durability root, in
@@ -1936,6 +1903,33 @@ mod tests {
                 cold_candidates(s2.db(), s2.query_text(name).unwrap())
             );
         }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_recovered_session_keeps_the_query_text_in_later_snapshots() {
+        failpoints::disarm_all();
+        let root = tmpdir();
+        let base = db();
+        let opts = SessionOptions {
+            durability: Some(SessionDurability {
+                snapshot_every: Some(1),
+                ..SessionDurability::new(&root)
+            }),
+            ..SessionOptions::default()
+        };
+        let mut s = QuerySession::new(base.clone(), opts.clone());
+        s.register("chain", CHAIN, cfg()).unwrap();
+        drop(s);
+
+        // The batch after the first recovery writes a snapshot, which
+        // the second recovery starts from.
+        let mut s = QuerySession::recover(opts.clone()).unwrap().session;
+        s.apply_batch(false, &[t(&base, "b", "q", "c")]).unwrap();
+        drop(s);
+        let s = QuerySession::recover(opts).unwrap().session;
+        assert_eq!(s.query_text("chain").unwrap(), CHAIN);
+        assert_eq!(s.candidates("chain").unwrap(), cold_candidates(s.db(), CHAIN));
         std::fs::remove_dir_all(&root).unwrap();
     }
 

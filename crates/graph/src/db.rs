@@ -42,13 +42,22 @@ struct LabelData {
     backward: BitMatrix,
 }
 
+impl LabelData {
+    fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
+        let forward = BitMatrix::from_edges(n, edges);
+        let backward = forward.transpose();
+        LabelData { forward, backward }
+    }
+}
+
 /// An immutable graph database `DB = (O_DB, Σ, E_DB)` (Def. 1).
 ///
 /// For every label the database stores both the forward adjacency matrix
 /// `F^a` and the backward adjacency matrix `B^a`; the row summaries of
 /// those matrices are the `f^a` / `b^a` vectors used for initialization
-/// (Eq. (13)). Databases derived from this one (e.g. per-query prunings
-/// built by [`GraphDb::with_triples`]) share the same [`Vocabulary`], so
+/// (Eq. (13)). Databases derived from this one (per-query prunings
+/// built by [`GraphDb::with_triples`], the next version after an update
+/// batch built by [`GraphDb::apply`]) share the same [`Vocabulary`], so
 /// node identifiers are stable across original and derived instances.
 #[derive(Debug, Clone)]
 pub struct GraphDb {
@@ -59,16 +68,17 @@ pub struct GraphDb {
 
 impl GraphDb {
     fn build(vocab: Arc<Vocabulary>, per_label: Vec<Vec<(u32, u32)>>) -> Self {
-        let n = vocab.num_nodes();
         debug_assert_eq!(per_label.len(), vocab.num_labels());
-        let mut labels = Vec::with_capacity(per_label.len());
-        let mut n_triples = 0usize;
-        for edges in &per_label {
-            let forward = BitMatrix::from_edges(n, edges);
-            let backward = forward.transpose();
-            n_triples += forward.nnz();
-            labels.push(LabelData { forward, backward });
-        }
+        let n = vocab.num_nodes();
+        let labels = per_label
+            .iter()
+            .map(|edges| LabelData::from_edges(n, edges))
+            .collect();
+        GraphDb::from_labels(vocab, labels)
+    }
+
+    fn from_labels(vocab: Arc<Vocabulary>, labels: Vec<LabelData>) -> Self {
+        let n_triples = labels.iter().map(|l| l.forward.nnz()).sum();
         GraphDb {
             vocab,
             labels,
@@ -206,9 +216,8 @@ impl GraphDb {
     }
 
     /// Builds a database over the same vocabulary containing exactly the
-    /// given triples. This is how per-query prunings and update-stream
-    /// snapshots are materialized: identifiers remain valid across both
-    /// instances.
+    /// given triples. This is how per-query prunings are materialized:
+    /// identifiers remain valid across both instances.
     ///
     /// A triple mentioning a label or node unknown to this database is
     /// rejected with [`GraphError::ForeignTriple`]: it cannot be
@@ -217,32 +226,80 @@ impl GraphDb {
     /// streams vanish instead of surfacing.
     pub fn with_triples(&self, triples: &[Triple]) -> Result<GraphDb, GraphError> {
         let mut per_label: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.vocab.num_labels()];
-        let n = self.vocab.num_nodes() as u32;
         for (idx, t) in triples.iter().enumerate() {
-            if (t.p as usize) >= per_label.len() || t.s >= n || t.o >= n {
-                let node = |id: u32| {
-                    if id < n {
-                        self.vocab.node_name(id).to_owned()
-                    } else {
-                        format!("#{id}")
-                    }
-                };
-                let label = if (t.p as usize) < per_label.len() {
-                    self.vocab.label_name(t.p).to_owned()
-                } else {
-                    format!("#{}", t.p)
-                };
-                return Err(GraphError::ForeignTriple {
-                    triple: *t,
-                    subject: node(t.s),
-                    predicate: label,
-                    object: node(t.o),
-                    index: idx + 1,
-                });
-            }
+            self.check_in_vocabulary(t, idx)?;
             per_label[t.p as usize].push((t.s, t.o));
         }
         Ok(GraphDb::build(Arc::clone(&self.vocab), per_label))
+    }
+
+    /// The next version of this database after one signed batch: with
+    /// `insert` the batch's triples are added, otherwise removed.
+    /// Inserting a present triple and deleting an absent one are
+    /// no-ops, so the result equals [`GraphDb::with_triples`] over the
+    /// set-updated triple list. Only the labels the batch touches are
+    /// rebuilt (from their existing pairs plus or minus the batch);
+    /// every other label's matrices are copied unchanged.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::ForeignTriple`], exactly as [`GraphDb::with_triples`]
+    /// reports it; the database is then left as it was.
+    pub fn apply(&self, insert: bool, batch: &[Triple]) -> Result<GraphDb, GraphError> {
+        let mut per_label: Vec<Vec<(u32, u32)>> = vec![Vec::new(); self.labels.len()];
+        for (idx, t) in batch.iter().enumerate() {
+            self.check_in_vocabulary(t, idx)?;
+            per_label[t.p as usize].push((t.s, t.o));
+        }
+        let n = self.vocab.num_nodes();
+        let labels = self
+            .labels
+            .iter()
+            .zip(per_label)
+            .map(|(data, mut delta)| {
+                if delta.is_empty() {
+                    return data.clone();
+                }
+                let mut edges: Vec<(u32, u32)> = data.forward.entries().collect();
+                if insert {
+                    edges.append(&mut delta);
+                } else {
+                    delta.sort_unstable();
+                    edges.retain(|e| delta.binary_search(e).is_err());
+                }
+                LabelData::from_edges(n, &edges)
+            })
+            .collect();
+        Ok(GraphDb::from_labels(Arc::clone(&self.vocab), labels))
+    }
+
+    /// Rejects a triple whose label or nodes lie outside this
+    /// database's vocabulary; `idx` is its 0-based batch position.
+    fn check_in_vocabulary(&self, t: &Triple, idx: usize) -> Result<(), GraphError> {
+        let n = self.vocab.num_nodes() as u32;
+        let n_labels = self.labels.len();
+        if (t.p as usize) < n_labels && t.s < n && t.o < n {
+            return Ok(());
+        }
+        let node = |id: u32| {
+            if id < n {
+                self.vocab.node_name(id).to_owned()
+            } else {
+                format!("#{id}")
+            }
+        };
+        let label = if (t.p as usize) < n_labels {
+            self.vocab.label_name(t.p).to_owned()
+        } else {
+            format!("#{}", t.p)
+        };
+        Err(GraphError::ForeignTriple {
+            triple: *t,
+            subject: node(t.s),
+            predicate: label,
+            object: node(t.o),
+            index: idx + 1,
+        })
     }
 }
 

@@ -63,8 +63,9 @@ pub enum GraphError {
         message: String,
     },
     /// A triple mentions a node or label id outside the shared
-    /// vocabulary ([`GraphDb::with_triples`]): derived databases reuse
-    /// their parent's dictionary, so such a triple is inexpressible —
+    /// vocabulary ([`GraphDb::with_triples`], [`GraphDb::apply`]):
+    /// derived databases reuse their parent's dictionary, so such a
+    /// triple is inexpressible —
     /// usually a sign of a corrupt or misrouted update stream. Carries
     /// the offending terms (resolved against the vocabulary where the
     /// id is in range, a `#<id>` placeholder where it is not) and the

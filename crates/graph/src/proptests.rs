@@ -1,8 +1,10 @@
 //! Property tests for the graph substrate: adjacency-map duality,
-//! N-Triples round trips, and pruning-view invariants.
+//! N-Triples round trips, pruning-view invariants, and signed-batch
+//! application against a set-mirrored rebuild.
 
-use crate::{parse_ntriples, write_ntriples, GraphDb, GraphDbBuilder, Triple};
+use crate::{parse_ntriples, write_ntriples, GraphDb, GraphDbBuilder, GraphError, Triple};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 fn arb_db() -> impl Strategy<Value = GraphDb> {
     proptest::collection::vec((0u8..15, 0u8..4, 0u8..15), 0..60).prop_map(|triples| {
@@ -95,6 +97,68 @@ proptest! {
         for t in &all {
             if !kept.contains(t) {
                 prop_assert!(!derived.contains_triple(*t));
+            }
+        }
+    }
+
+    /// `apply` is a signed set update: on a random batch with
+    /// duplicates, inserts of present triples and deletes of absent
+    /// ones, it builds the same database as `with_triples` over the
+    /// set-mirrored triple list — every triple, every row of both
+    /// adjacency maps, and both summaries per label. A foreign triple
+    /// is rejected by both with the same error and batch position.
+    #[test]
+    fn apply_matches_a_set_mirrored_rebuild(
+        db in arb_db(),
+        insert in any::<bool>(),
+        picks in proptest::collection::vec(
+            (any::<bool>(), any::<u8>(), any::<u8>(), any::<u8>()),
+            0..24,
+        ),
+        foreign in (0u8..4, 0usize..24),
+    ) {
+        let present: Vec<Triple> = db.triples().collect();
+        let (n, labels) = (db.num_nodes() as u32, db.num_labels() as u32);
+        let mut batch: Vec<Triple> = Vec::new();
+        for &(reuse, s, p, o) in &picks {
+            if reuse && !present.is_empty() {
+                batch.push(present[s as usize % present.len()]);
+            } else if n > 0 && labels > 0 {
+                batch.push(Triple::new(s as u32 % n, p as u32 % labels, o as u32 % n));
+            }
+        }
+        if let Some(&first) = batch.first() {
+            batch.push(first);
+        }
+        // One case in four plants a foreign triple in the batch.
+        if foreign.0 == 0 {
+            let at = foreign.1.min(batch.len());
+            batch.insert(at, Triple::new(n + at as u32, 0, 0));
+            let got = db.apply(insert, &batch).unwrap_err();
+            let want = db.with_triples(&batch).unwrap_err();
+            prop_assert!(matches!(got, GraphError::ForeignTriple { index, .. } if index == at + 1));
+            prop_assert_eq!(got, want);
+            return Ok(());
+        }
+
+        let mut mirror: BTreeSet<Triple> = present.iter().copied().collect();
+        for t in &batch {
+            if insert {
+                mirror.insert(*t);
+            } else {
+                mirror.remove(t);
+            }
+        }
+        let want = db.with_triples(&mirror.into_iter().collect::<Vec<_>>()).unwrap();
+        let got = db.apply(insert, &batch).unwrap();
+        prop_assert_eq!(got.num_triples(), want.num_triples());
+        prop_assert!(got.triples().eq(want.triples()));
+        for label in 0..labels {
+            prop_assert_eq!(got.f_summary(label), want.f_summary(label));
+            prop_assert_eq!(got.b_summary(label), want.b_summary(label));
+            for v in 0..n {
+                prop_assert_eq!(got.out_neighbors(v, label), want.out_neighbors(v, label));
+                prop_assert_eq!(got.in_neighbors(v, label), want.in_neighbors(v, label));
             }
         }
     }

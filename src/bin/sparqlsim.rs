@@ -7,33 +7,31 @@
 //! sparqlsim prune    --data DB.nt (--query Q.rq | --query-text '…') [--output PRUNED.nt]
 //! sparqlsim eval     --data DB.nt (--query Q.rq | --query-text '…') [--engine nested|hash] [--limit N] [--pruned]
 //! sparqlsim maintain --data DB.nt (--query Q.rq | --query-text '…') --updates U.txt [--fixpoint delta] [--wal DIR [--snapshot-every N]]
-//! sparqlsim maintain --resume --wal DIR [--updates MORE.txt]
 //! sparqlsim serve    --data DB.nt --queries DIR --updates U.txt [--wal DIR] [--on-error P]
+//! sparqlsim (maintain|serve) --resume --wal DIR [--updates MORE.txt]
 //! ```
 //!
 //! `solve` prints the largest dual simulation per query variable,
-//! `prune` writes/reports the per-query pruning (Sect. 5.2), `eval`
-//! runs one of the reference engines, optionally on the pruned database,
-//! and `maintain` keeps one solution alive across a signed update stream
-//! (N-Triples lines prefixed `+`/`-`; consecutive same-sign lines form a
-//! batch) — with `--fixpoint delta` every batch is absorbed by the warm
-//! counter-driven maintenance paths instead of a cold re-solve. With
-//! `--wal DIR` the resident solution is durable: every committed batch
-//! is written ahead to a checksummed log and full-state snapshots are
-//! kept, so a later `--resume` run recovers the database, the query and
-//! the warm solution from disk instead of `--data`/`--query`.
+//! `prune` writes/reports the per-query pruning (Sect. 5.2), and `eval`
+//! runs one of the reference engines, optionally on the pruned
+//! database.
 //!
-//! `serve` is the multi-query resident session: every `.rq` file under
-//! `--queries DIR` becomes a standing query over one shared database,
-//! each shared update batch is validated and deduplicated once and
-//! fanned out to every query, and a failure in one query degrades only
-//! that query (it keeps serving its last committed match set, marked
-//! stale, and heals by deterministic retry/backoff escalating to a cold
-//! rebuild) while the others commit normally.
+//! `maintain` and `serve` run one resident session over one shared
+//! database and a signed update stream (N-Triples lines prefixed
+//! `+`/`-`; consecutive same-sign lines form a batch). `serve` registers
+//! every `.rq` file under `--queries DIR` as a standing query; `maintain`
+//! is the same session with one query, named `query`. Each batch is
+//! validated and deduplicated once and fanned out to every query, and a
+//! failure in one query degrades only that query (it keeps serving its
+//! last committed match set, marked stale, and heals by deterministic
+//! retry/backoff escalating to a cold rebuild). With `--wal DIR` every
+//! query is durable under `DIR/query-<name>/branch-<i>/`, and a later
+//! `--resume` run recovers the database, the queries and their warm
+//! solutions from disk instead of `--data`/`--query`.
 
 use dualsim::core::{
-    build_sois, prune, solve_query, ChiBackend, DurabilityOptions, EvalStrategy, FixpointMode,
-    IncrementalDualSim, QueryOutcome, QuerySession, SessionDurability, SessionOptions, SlabBackend,
+    prune, solve_query, ChiBackend, EvalStrategy, FixpointMode, HealPath, QueryOutcome,
+    QueryRecovery, QuerySession, SessionDurability, SessionOptions, SlabBackend, Soi, Solution,
     SolverConfig,
 };
 use dualsim::engine::{Engine, HashJoinEngine, NestedLoopEngine};
@@ -79,7 +77,8 @@ commands:
   solve        compute the largest dual simulation for a query
   prune        prune the database for a query (Sect. 5.2)
   eval         evaluate a query with a reference engine
-  maintain     maintain one solution across a +/- update stream
+  maintain     maintain one query across a +/- update stream (a session
+               with one standing query, named `query`)
   serve        maintain many standing queries across one shared stream
   fingerprint  build the simulation-quotient index (Sect. 6 extension)
 
@@ -100,38 +99,39 @@ options:
                         the same density bound the χ auto uses; identical
                         solution and logical work counts for every backend
   --no-early-exit       keep solving after a mandatory variable empties
-  --updates FILE        maintain: signed update stream — N-Triples lines
-                        prefixed '+' (insert) or '-' (delete); terms must
-                        come from the database's fixed vocabulary
-  --on-error P          maintain: skip | abort | rollback (default abort)
-                        what to do when an update line fails to parse or
-                        a batch fails to apply — skip it and continue,
-                        abort the run, or roll the batch back and keep
-                        the recovered pre-batch solution
-  --wal DIR             maintain: durable mode — append every committed
-                        batch to a checksummed write-ahead log and keep
-                        full-state snapshots under DIR (one branch-<i>/
-                        subdirectory per union branch)
-  --snapshot-every N    maintain: with --wal, also write a snapshot after
-                        every N committed batches (default: only the
-                        initial post-solve snapshot; N must be > 0)
+  --updates FILE        maintain, serve: signed update stream — N-Triples
+                        lines prefixed '+' (insert) or '-' (delete); terms
+                        must come from the database's fixed vocabulary
+  --on-error P          maintain, serve: skip | abort | rollback
+                        (default abort) — skip: drop unparsable update
+                        lines; a query that fails a batch serves its last
+                        committed match set (stale) and heals by
+                        retry/backoff. abort: stop with a non-zero exit
+                        at the first bad line or failed query, after
+                        reporting its batch. rollback: a query that fails
+                        a batch is rolled back and quarantined, serving
+                        its last committed match set without retries
+  --wal DIR             maintain, serve: durable mode — every query logs
+                        its committed batches to a checksummed
+                        write-ahead log and keeps full-state snapshots
+                        under DIR/query-<name>/branch-<i>/ (maintain's
+                        one query is named `query`)
+  --snapshot-every N    with --wal, also write a snapshot after every N
+                        committed batches (default: only the initial
+                        post-solve snapshot; N must be > 0)
   --keep-snapshots N    with --wal, retain only the newest N snapshots
                         per branch, pruning older ones after each
                         successful write (default 2 so recovery can fall
                         back across one corrupted newest; 0 keeps all)
   --queries DIR         serve: register every .rq file under DIR as a
                         standing query (named by file stem) over the
-                        shared database; --on-error maps to the session
-                        ladder — skip heals degraded queries by
-                        retry/backoff (default), rollback quarantines
-                        them at the first failure (still serving their
-                        last committed match set), abort stops the run
-  --resume              maintain: recover database, query and resident
-                        solution from --wal DIR (newest snapshot whose
-                        checksum verifies, plus the WAL tail; a torn
-                        final record is truncated) instead of loading
-                        --data/--query, then apply --updates (optional
-                        here) on top of the recovered state
+                        shared database
+  --resume              maintain, serve: recover the database, the
+                        queries and their solutions from --wal DIR
+                        (newest snapshot whose checksum verifies, plus
+                        the WAL tail; a torn final record is truncated)
+                        instead of loading --data/--query/--queries, then
+                        apply --updates (optional here) on top
   --drain-budget N      delta: cancel any maintenance drain that exceeds
                         N logical ops in one batch; the engine rolls the
                         batch back and the next update falls back to a
@@ -142,17 +142,17 @@ options:
   --pruned              eval: evaluate on the pruned database
   --exclude-labels L,M  fingerprint: predicates to leave out of the index";
 
-/// What `maintain` does when an update line fails to parse or a batch
-/// fails to apply.
+/// What `maintain` and `serve` do when an update line fails to parse
+/// or a query fails a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OnError {
-    /// Report the failure and continue with the next line / batch.
+    /// Drop the bad line; the failed query degrades and heals by
+    /// retry/backoff while the stream continues.
     Skip,
-    /// Stop immediately with a non-zero exit (default).
+    /// Stop with a non-zero exit once the failure is reported (default).
     Abort,
-    /// Report, roll the failing batch back (every union branch restored
-    /// to its pre-batch solution), drop the rest of the stream, and
-    /// still print the recovered solution with a zero exit.
+    /// Quarantine the failed query at once: it keeps serving its
+    /// rolled-back match set and is never retried automatically.
     Rollback,
 }
 
@@ -299,12 +299,9 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
 fn run(args: &[String]) -> Result<(), String> {
     let opts = parse_args(args)?;
     if opts.resume {
-        if opts.command != "maintain" {
-            return Err("--resume only applies to the maintain command".into());
-        }
-        // The database, the query and the solution all come from the
-        // durability directory — no --data/--query cold load.
-        return cmd_maintain_resume(&opts);
+        // The database, the queries and their solutions all come from
+        // the durability directory — no --data/--query cold load.
+        return cmd_resume(&opts);
     }
     if opts.snapshot_every.is_some() && opts.wal.is_none() {
         return Err("--snapshot-every requires --wal DIR".into());
@@ -324,8 +321,8 @@ fn run(args: &[String]) -> Result<(), String> {
             opts.output.as_deref(),
         ),
         "eval" => cmd_eval(&db, &load_query(&opts)?, &opts),
-        "maintain" => cmd_maintain(&db, &load_query(&opts)?, &opts),
-        "serve" => cmd_serve(&db, &opts),
+        "maintain" => cmd_maintain(db, &opts),
+        "serve" => cmd_serve(db, &opts),
         "fingerprint" => cmd_fingerprint(&db, &opts),
         other => Err(format!("unknown command {other:?}")),
     }
@@ -418,291 +415,48 @@ fn parse_update_batches(
     Ok((batches, skipped))
 }
 
-/// The resident-solution loop: one initial solve, then every update
-/// batch maintained in place. Under `--fixpoint delta` insertions ride
-/// the counter-driven re-activation frontier and deletions the support
-/// countdown, so no batch triggers a cold re-solve; under the default
-/// re-evaluation engine insertions fall back to a cold solve — the
-/// per-batch `warm`/`cold` tag makes the difference visible.
-fn cmd_maintain(db: &GraphDb, query: &Query, opts: &Opts) -> Result<(), String> {
-    let path = opts.updates.as_deref().ok_or("--updates is required")?;
+/// Reads `--updates` and parses it against `db`'s vocabulary; under
+/// `--on-error skip` unparsable lines are reported and dropped.
+fn read_updates(path: &str, db: &GraphDb, on_error: OnError) -> Result<Vec<UpdateBatch>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let (batches, bad_lines) = parse_update_batches(&text, db, opts.on_error == OnError::Skip)?;
+    let (batches, bad_lines) = parse_update_batches(&text, db, on_error == OnError::Skip)?;
     for msg in &bad_lines {
         eprintln!("warning: {msg} — line skipped");
     }
-    let cfg = config(opts);
-    let started = std::time::Instant::now();
-    let sois = build_sois(db, query);
-    let mut engines: Vec<IncrementalDualSim> = Vec::with_capacity(sois.len());
-    match opts.wal.as_deref() {
-        None => {
-            for soi in sois {
-                engines.push(IncrementalDualSim::new(db, soi, cfg.clone()));
-            }
-        }
-        Some(wal) => {
-            // The snapshot carries the query text as opaque metadata so
-            // `--resume` can rebuild the printable query without a
-            // --query flag.
-            let meta = query_source_text(opts)?;
-            for (i, soi) in sois.into_iter().enumerate() {
-                let mut d = DurabilityOptions::new(branch_dir(wal, i));
-                d.snapshot_every = opts.snapshot_every;
-                d.keep_snapshots = opts.keep_snapshots;
-                d.meta = meta.clone();
-                let sim = IncrementalDualSim::new_durable(db, soi, cfg.clone(), &d)
-                    .map_err(|e| format!("durability for union branch {i}: {e}"))?;
-                engines.push(sim);
-            }
-        }
-    }
-    println!(
-        "initial solve in {:?} ({} union branch(es){})",
-        started.elapsed(),
-        engines.len(),
-        if opts.wal.is_some() { ", durable" } else { "" }
-    );
-    maintain_stream(db, query, engines, &batches, opts)
+    Ok(batches)
 }
 
-/// Per-union-branch durability directory under the `--wal` root.
-fn branch_dir(wal: &str, branch: usize) -> std::path::PathBuf {
-    std::path::Path::new(wal).join(format!("branch-{branch}"))
+/// The session policy both maintenance commands run under: `rollback`
+/// quarantines a failed query at once (it keeps serving its rolled-back
+/// match set, never retried automatically), `skip` and `abort` use the
+/// degrade/retry ladder, and `--wal DIR` makes every query durable
+/// under `DIR/query-<name>/branch-<i>/`.
+fn session_options(opts: &Opts) -> SessionOptions {
+    SessionOptions {
+        auto_heal: opts.on_error != OnError::Rollback,
+        durability: opts.wal.as_deref().map(|wal| SessionDurability {
+            snapshot_every: opts.snapshot_every,
+            keep_snapshots: opts.keep_snapshots,
+            ..SessionDurability::new(wal)
+        }),
+        ..SessionOptions::default()
+    }
 }
 
-/// The `maintain --resume` path: every `branch-<i>/` directory under
-/// `--wal` is recovered (newest verified snapshot + WAL tail), the
-/// database and the query are rebuilt from the snapshot, and an optional
-/// `--updates` stream is applied on top of the recovered state.
-fn cmd_maintain_resume(opts: &Opts) -> Result<(), String> {
-    let wal = opts.wal.as_deref().ok_or("--resume requires --wal DIR")?;
-    if opts.data.is_some() || opts.query.is_some() || opts.query_text.is_some() {
-        return Err(
-            "--resume restores the database and the query from the snapshot; \
-             drop --data/--query/--query-text"
-                .into(),
-        );
-    }
-    let mut engines: Vec<IncrementalDualSim> = Vec::new();
-    let mut db: Option<GraphDb> = None;
-    let mut meta: Option<String> = None;
-    for i in 0usize.. {
-        let dir = branch_dir(wal, i);
-        if !dir.is_dir() {
-            break;
-        }
-        let mut d = DurabilityOptions::new(&dir);
-        d.snapshot_every = opts.snapshot_every;
-        d.keep_snapshots = opts.keep_snapshots;
-        let rec = IncrementalDualSim::recover(&d)
-            .map_err(|e| format!("recovering union branch {i} from {}: {e}", dir.display()))?;
-        print!(
-            "branch {i}: recovered at epoch {} (snapshot epoch {}, {} WAL record(s) replayed",
-            rec.report.epoch, rec.report.snapshot_epoch, rec.report.records_replayed,
-        );
-        if rec.report.torn_bytes > 0 {
-            print!(", {} torn byte(s) truncated", rec.report.torn_bytes);
-        }
-        if rec.report.snapshots_skipped > 0 {
-            print!(", {} corrupt snapshot(s) skipped", rec.report.snapshots_skipped);
-        }
-        println!(")");
-        db = Some(rec.db);
-        meta = Some(rec.meta);
-        engines.push(rec.sim);
-    }
-    let (Some(db), Some(meta)) = (db, meta) else {
-        return Err(format!(
-            "nothing to resume: no {} directory under {wal}",
-            branch_dir(wal, 0).display()
-        ));
-    };
-    // A kill between the per-branch commits of one batch leaves the
-    // branches at different epochs; their recovered databases disagree,
-    // so resuming the shared update stream would be unsound.
-    let epochs: Vec<u64> = engines.iter().map(IncrementalDualSim::epoch).collect();
-    if epochs.windows(2).any(|w| w[0] != w[1]) {
-        return Err(format!(
-            "union branches recovered at different epochs {epochs:?}; \
-             the crash hit between branch commits — restart cold from --data"
-        ));
-    }
-    let query = parse(&meta).map_err(|e| format!("query stored in snapshot: {e}"))?;
-    let batches = match opts.updates.as_deref() {
-        None => Vec::new(),
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let (batches, bad_lines) =
-                parse_update_batches(&text, &db, opts.on_error == OnError::Skip)?;
-            for msg in &bad_lines {
-                eprintln!("warning: {msg} — line skipped");
-            }
-            batches
-        }
-    };
-    maintain_stream(&db, &query, engines, &batches, opts)
+/// `maintain`: a session with one standing query, named `query`. Under
+/// `--fixpoint delta` insertions ride the counter-driven re-activation
+/// frontier and deletions the support countdown, so no batch triggers a
+/// cold re-solve; under the default re-evaluation engine insertions
+/// fall back to a cold solve — the per-batch `warm`/`cold` tag shows
+/// which.
+fn cmd_maintain(db: GraphDb, opts: &Opts) -> Result<(), String> {
+    let text = query_source_text(opts)?;
+    cmd_session(db, vec![("query".to_owned(), text)], opts)
 }
 
-/// The shared maintenance loop: applies every update batch to every
-/// union branch (staged against a copy of the resident triple set, with
-/// inverse-batch undo on error) and prints the per-branch solution and
-/// work counters. `db` is the resident database the engines currently
-/// reflect — the freshly loaded one for a cold start, the recovered one
-/// under `--resume`.
-fn maintain_stream(
-    db: &GraphDb,
-    query: &Query,
-    mut engines: Vec<IncrementalDualSim>,
-    batches: &[UpdateBatch],
-    opts: &Opts,
-) -> Result<(), String> {
-    use dualsim::graph::Triple;
-    let mut present: std::collections::BTreeSet<Triple> = db.triples().collect();
-    for (i, (insert, batch)) in batches.iter().enumerate() {
-        // Stage the batch against a copy: a rejected batch must leave
-        // the resident triple set exactly as it was.
-        let mut next = present.clone();
-        let mut problem: Option<String> = None;
-        for t in batch {
-            let applies = if *insert {
-                next.insert(*t)
-            } else {
-                next.remove(t)
-            };
-            if !applies {
-                problem = Some(format!(
-                    "update batch {}: triple (<{}> <{}> <{}>) is {} the database",
-                    i + 1,
-                    db.node_name(t.s),
-                    db.label_name(t.p),
-                    db.node_name(t.o),
-                    if *insert { "already in" } else { "not in" }
-                ));
-                break;
-            }
-        }
-        let started = std::time::Instant::now();
-        let mut changed = 0usize;
-        let mut warm = true;
-        // Union branches that committed the batch before a later branch
-        // failed — they must be walked back so every branch reflects
-        // the same database again.
-        let mut committed = 0usize;
-        if problem.is_none() {
-            let triples: Vec<Triple> = next.iter().copied().collect();
-            match db.with_triples(&triples) {
-                Err(e) => problem = Some(format!("update batch {}: {e}", i + 1)),
-                Ok(db_after) => {
-                    for engine in &mut engines {
-                        let applied = if *insert {
-                            engine.apply_insertions(&db_after, batch)
-                        } else {
-                            engine.apply_deletions(&db_after, batch)
-                        };
-                        match applied {
-                            Ok(n) => {
-                                changed += n;
-                                warm &= engine.last_update_was_warm();
-                                committed += 1;
-                            }
-                            Err(e) => {
-                                problem = Some(format!("update batch {}: {e}", i + 1));
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let msg = match problem {
-            None => {
-                present = next;
-                println!(
-                    "batch {}: {}{} triple(s), {} candidate(s) {}, {} in {:?}",
-                    i + 1,
-                    if *insert { "+" } else { "-" },
-                    batch.len(),
-                    changed,
-                    if *insert { "gained" } else { "dropped" },
-                    if warm { "warm maintenance" } else { "cold re-solve" },
-                    started.elapsed()
-                );
-                continue;
-            }
-            Some(msg) if opts.on_error == OnError::Abort => return Err(msg),
-            Some(msg) => msg,
-        };
-        // The failing branch rolled its own epoch back; undo the
-        // branches that had already committed by applying the inverse
-        // batch (the largest dual simulation is unique per database, so
-        // this restores the pre-batch solution exactly).
-        if committed > 0 {
-            let prev: Vec<Triple> = present.iter().copied().collect();
-            let db_before = db
-                .with_triples(&prev)
-                .map_err(|e| format!("undoing batch {}: {e}", i + 1))?;
-            for engine in engines.iter_mut().take(committed) {
-                let undone = if *insert {
-                    engine.apply_deletions(&db_before, batch)
-                } else {
-                    engine.apply_insertions(&db_before, batch)
-                };
-                undone.map_err(|e| format!("undoing batch {}: {e}", i + 1))?;
-            }
-        }
-        if opts.on_error == OnError::Skip {
-            eprintln!("warning: {msg} — batch rolled back, continuing");
-        } else {
-            eprintln!("warning: {msg} — batch rolled back, dropping the rest of the stream");
-            break;
-        }
-    }
-    for (i, engine) in engines.iter().enumerate() {
-        if engines.len() > 1 {
-            println!("— union branch {i} —");
-        }
-        let (soi, solution) = (engine.soi(), engine.solution());
-        for var in query.vars() {
-            let chi = solution.var_solution(soi, var);
-            let count = chi.count_ones();
-            let preview: Vec<&str> = chi
-                .iter_ones()
-                .take(5)
-                .map(|n| db.node_name(n as u32))
-                .collect();
-            let ellipsis = if count > 5 { ", …" } else { "" };
-            println!(
-                "?{var}: {count} candidates [{}{ellipsis}]",
-                preview.join(", ")
-            );
-        }
-        let s = engine.maintenance_stats();
-        println!(
-            "maintenance work: counter_increments={} reactivations={} counter_decrements={} \
-             delta_removals={} ops={}",
-            s.counter_increments,
-            s.reactivations,
-            s.counter_decrements,
-            s.delta_removals,
-            s.work_ops()
-        );
-        println!(
-            "robustness: rollbacks={} poisonings={} budget_aborts={} journal_entries={}",
-            s.rollbacks, s.poisonings, s.budget_aborts, s.journal_entries
-        );
-    }
-    Ok(())
-}
-
-/// The resident multi-query session loop: every `.rq` file under
-/// `--queries DIR` is registered as a standing query, then each shared
-/// update batch is validated once and fanned out to all of them. The
-/// per-query outcome of every batch is reported, and a final summary
-/// prints each query's health, per-variable candidates and maintenance
-/// work.
-fn cmd_serve(db: &GraphDb, opts: &Opts) -> Result<(), String> {
+/// `serve`: every `.rq` file under `--queries DIR` becomes a standing
+/// query named by its file stem.
+fn cmd_serve(db: GraphDb, opts: &Opts) -> Result<(), String> {
     let dir = opts
         .queries_dir
         .as_deref()
@@ -716,36 +470,36 @@ fn cmd_serve(db: &GraphDb, opts: &Opts) -> Result<(), String> {
     if files.is_empty() {
         return Err(format!("no .rq query files under {dir}"));
     }
+    let queries = files
+        .iter()
+        .map(|path| {
+            let name = path
+                .file_stem()
+                .map(|s| s.to_string_lossy().into_owned())
+                .unwrap_or_default();
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("reading {}: {e}", path.display()))?;
+            Ok((name, text))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    cmd_session(db, queries, opts)
+}
 
-    let sopts = SessionOptions {
-        // `rollback` maps to the quarantine-at-first-failure rung of
-        // the session ladder: the query keeps serving its rolled-back
-        // (stale) match set, but is never retried automatically.
-        auto_heal: opts.on_error != OnError::Rollback,
-        durability: opts.wal.as_deref().map(|wal| SessionDurability {
-            root: wal.into(),
-            snapshot_every: opts.snapshot_every,
-            fsync: true,
-            keep_snapshots: opts.keep_snapshots,
-        }),
-        ..SessionOptions::default()
-    };
+/// Registers `(name, text)` standing queries in a new session over `db`
+/// and runs the `--updates` stream through it.
+fn cmd_session(db: GraphDb, queries: Vec<(String, String)>, opts: &Opts) -> Result<(), String> {
+    let path = opts.updates.as_deref().ok_or("--updates is required")?;
+    let batches = read_updates(path, &db, opts.on_error)?;
     let cfg = config(opts);
     let started = std::time::Instant::now();
-    let mut session = QuerySession::new(db.clone(), sopts);
-    for path in &files {
-        let name = path
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let mut session = QuerySession::new(db, session_options(opts));
+    for (name, text) in &queries {
         let branches = session
-            .register(&name, &text, cfg.clone())
+            .register(name, text, cfg.clone())
             .map_err(|e| e.to_string())?;
         println!(
             "registered `{name}` ({branches} union branch(es), {} candidate(s))",
-            session.candidates(&name).map_err(|e| e.to_string())?
+            session.candidates(name).map_err(|e| e.to_string())?
         );
     }
     println!(
@@ -754,14 +508,68 @@ fn cmd_serve(db: &GraphDb, opts: &Opts) -> Result<(), String> {
         started.elapsed(),
         if opts.wal.is_some() { ", durable" } else { "" }
     );
+    stream_and_report(&mut session, &batches, opts.on_error)
+}
 
-    let path = opts.updates.as_deref().ok_or("--updates is required")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let (batches, bad_lines) = parse_update_batches(&text, db, opts.on_error == OnError::Skip)?;
-    for msg in &bad_lines {
-        eprintln!("warning: {msg} — line skipped");
+/// `maintain --resume` / `serve --resume`: recovers the session under
+/// `--wal DIR` — the database, every query's text and its warm
+/// solution — then applies the optional `--updates` stream on top.
+fn cmd_resume(opts: &Opts) -> Result<(), String> {
+    if opts.command != "maintain" && opts.command != "serve" {
+        return Err("--resume only applies to the maintain and serve commands".into());
     }
-    'stream: for (i, (insert, batch)) in batches.iter().enumerate() {
+    if opts.wal.is_none() {
+        return Err("--resume requires --wal DIR".into());
+    }
+    if opts.data.is_some()
+        || opts.query.is_some()
+        || opts.query_text.is_some()
+        || opts.queries_dir.is_some()
+    {
+        return Err(
+            "--resume restores the database and the queries from the snapshots; \
+             drop --data/--query/--query-text/--queries"
+                .into(),
+        );
+    }
+    let rec = QuerySession::recover(session_options(opts)).map_err(|e| e.to_string())?;
+    for (name, report) in &rec.reports {
+        match report {
+            QueryRecovery::Recovered {
+                records_replayed,
+                snapshots_skipped,
+            } => println!(
+                "recovered `{name}`: {records_replayed} WAL record(s) replayed, \
+                 {snapshots_skipped} corrupt snapshot(s) skipped"
+            ),
+            QueryRecovery::Stale => {
+                println!("recovered `{name}` behind the session graph: serving stale");
+            }
+            QueryRecovery::Quarantined { detail } => {
+                eprintln!("warning: `{name}` quarantined on recovery: {detail}");
+            }
+        }
+    }
+    let mut session = rec.session;
+    let batches = match opts.updates.as_deref() {
+        Some(path) => read_updates(path, session.db(), opts.on_error)?,
+        None => Vec::new(),
+    };
+    stream_and_report(&mut session, &batches, opts.on_error)
+}
+
+/// The one maintenance loop of the CLI: each batch is validated once
+/// and fanned out to every registered query, its per-query outcome is
+/// reported, and a final summary prints each query's health,
+/// per-variable candidates and maintenance work. Under
+/// `--on-error abort` a failed query ends the run with an error once
+/// its batch is reported.
+fn stream_and_report(
+    session: &mut QuerySession,
+    batches: &[UpdateBatch],
+    on_error: OnError,
+) -> Result<(), String> {
+    for (i, (insert, batch)) in batches.iter().enumerate() {
         let started = std::time::Instant::now();
         let report = session
             .apply_batch(*insert, batch)
@@ -775,6 +583,7 @@ fn cmd_serve(db: &GraphDb, opts: &Opts) -> Result<(), String> {
             report.noops,
             started.elapsed()
         );
+        let mut failure = None;
         for (name, outcome) in &report.outcomes {
             match outcome {
                 QueryOutcome::Committed {
@@ -792,46 +601,52 @@ fn cmd_serve(db: &GraphDb, opts: &Opts) -> Result<(), String> {
                 } => println!(
                     "  `{name}`: healed by {}, +{gained}/-{dropped} candidate(s) vs stale set",
                     match via {
-                        dualsim::core::HealPath::Replay => "backlog replay",
-                        dualsim::core::HealPath::Rebuild => "cold rebuild",
+                        HealPath::Replay => "backlog replay",
+                        HealPath::Rebuild => "cold rebuild",
                     }
                 ),
                 QueryOutcome::Failed { error, health } => {
                     eprintln!("warning: `{name}` failed batch {}: {error} — now {health}", i + 1);
-                    if opts.on_error == OnError::Abort {
-                        eprintln!("warning: dropping the rest of the stream (--on-error abort)");
-                        break 'stream;
-                    }
+                    failure
+                        .get_or_insert(format!("update batch {}: `{name}` failed: {error}", i + 1));
                 }
                 QueryOutcome::Stale { health } => {
                     println!("  `{name}`: serving stale — {health}");
                 }
             }
         }
+        if let Some(msg) = failure.filter(|_| on_error == OnError::Abort) {
+            return Err(msg);
+        }
     }
 
-    for name in session.query_names().into_iter().map(String::from).collect::<Vec<_>>() {
-        let health = session.health(&name).map_err(|e| e.to_string())?.clone();
-        println!("— query `{name}`: {health} —");
-        let query = parse(session.query_text(&name).map_err(|e| e.to_string())?)
-            .map_err(|e| format!("`{name}`: {e}"))?;
-        let sois = session.sois(&name).map_err(|e| e.to_string())?;
-        let solutions = session.solutions(&name).map_err(|e| e.to_string())?;
-        for (b, (soi, solution)) in sois.iter().zip(&solutions).enumerate() {
+    let db = session.db();
+    for name in session.query_names() {
+        let err = |e: dualsim::core::SessionError| e.to_string();
+        println!("— query `{name}`: {} —", session.health(name).map_err(err)?);
+        // A query quarantined on recovery may have no text left to show.
+        let Ok(query) = parse(session.query_text(name).map_err(err)?) else {
+            continue;
+        };
+        let sois = session.sois(name).map_err(err)?;
+        let solutions = session.solutions(name).map_err(err)?;
+        let stats = session.maintenance_stats(name).map_err(err)?;
+        for (b, ((soi, solution), s)) in sois.iter().zip(&solutions).zip(stats).enumerate() {
             if solutions.len() > 1 {
                 println!("  — union branch {b} —");
             }
-            for var in query.vars() {
-                let chi = solution.var_solution(soi, var);
-                let count = chi.count_ones();
-                let preview: Vec<&str> = chi
-                    .iter_ones()
-                    .take(5)
-                    .map(|n| db.node_name(n as u32))
-                    .collect();
-                let ellipsis = if count > 5 { ", …" } else { "" };
-                println!("  ?{var}: {count} candidates [{}{ellipsis}]", preview.join(", "));
-            }
+            print_candidates(db, &query, soi, solution, "  ");
+            println!(
+                "  maintenance: counter_increments={} reactivations={} counter_decrements={} \
+                 delta_removals={} ops={} rollbacks={} budget_aborts={}",
+                s.counter_increments,
+                s.reactivations,
+                s.counter_decrements,
+                s.delta_removals,
+                s.work_ops(),
+                s.rollbacks,
+                s.budget_aborts
+            );
         }
     }
     let s = session.stats();
@@ -847,6 +662,22 @@ fn cmd_serve(db: &GraphDb, opts: &Opts) -> Result<(), String> {
         s.failures, s.replay_heals, s.rebuild_heals, s.failed_retries, s.quarantines
     );
     Ok(())
+}
+
+/// Prints each query variable's candidate count and its first five
+/// candidates.
+fn print_candidates(db: &GraphDb, query: &Query, soi: &Soi, solution: &Solution, indent: &str) {
+    for var in query.vars() {
+        let chi = solution.var_solution(soi, var);
+        let count = chi.count_ones();
+        let preview: Vec<&str> = chi
+            .iter_ones()
+            .take(5)
+            .map(|n| db.node_name(n as u32))
+            .collect();
+        let ellipsis = if count > 5 { ", …" } else { "" };
+        println!("{indent}?{var}: {count} candidates [{}{ellipsis}]", preview.join(", "));
+    }
 }
 
 fn cmd_fingerprint(db: &GraphDb, opts: &Opts) -> Result<(), String> {
@@ -934,20 +765,7 @@ fn cmd_solve(db: &GraphDb, query: &Query, cfg: &SolverConfig) -> Result<(), Stri
         if branches.len() > 1 {
             println!("— union branch {i} —");
         }
-        for var in query.vars() {
-            let chi = solution.var_solution(soi, var);
-            let count = chi.count_ones();
-            let preview: Vec<&str> = chi
-                .iter_ones()
-                .take(5)
-                .map(|n| db.node_name(n as u32))
-                .collect();
-            let ellipsis = if count > 5 { ", …" } else { "" };
-            println!(
-                "?{var}: {count} candidates [{}{ellipsis}]",
-                preview.join(", ")
-            );
-        }
+        print_candidates(db, query, soi, solution, "");
         let s = &solution.stats;
         println!(
             "iterations={} updates={} rowwise={} colwise={} empty={}",
@@ -1332,11 +1150,13 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert!(run(&solve).unwrap_err().contains("maintain"));
-        let no_wal: Vec<String> = ["maintain", "--resume"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(run(&no_wal).unwrap_err().contains("--wal"));
+        for command in ["maintain", "serve"] {
+            let no_wal: Vec<String> = [command, "--resume"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            assert!(run(&no_wal).unwrap_err().contains("--wal"), "{command}");
+        }
         let with_data: Vec<String> = ["maintain", "--resume", "--wal", "d", "--data", "x.nt"]
             .iter()
             .map(|s| s.to_string())
@@ -1347,6 +1167,35 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert!(run(&snap_only).unwrap_err().contains("--wal"));
+    }
+
+    /// `--on-error abort` fails the run once a query fails a batch;
+    /// `skip` keeps streaming, and the degraded query heals by replay
+    /// on the next batch.
+    #[test]
+    fn a_failed_query_aborts_the_stream_only_under_abort() {
+        use dualsim::core::failpoints;
+        let db = parse_ntriples("<a> <p> <b> .\n<b> <q> <c> .\n").unwrap();
+        let (batches, _) =
+            parse_update_batches("- <b> <q> <c> .\n+ <b> <q> <c> .\n", &db, false).unwrap();
+        for on_error in [OnError::Abort, OnError::Skip] {
+            let mut session = QuerySession::new(db.clone(), SessionOptions::default());
+            session
+                .register("query", "{ ?x p ?y . ?y q ?z }", SolverConfig::default())
+                .unwrap();
+            failpoints::arm("session-fanout", 0);
+            let result = stream_and_report(&mut session, &batches, on_error);
+            failpoints::disarm_all();
+            let s = session.stats();
+            if on_error == OnError::Abort {
+                assert!(result.unwrap_err().contains("update batch 1"));
+                assert_eq!((s.batches, s.failures), (1, 1));
+            } else {
+                result.unwrap();
+                assert_eq!((s.batches, s.failures, s.replay_heals), (2, 1, 1));
+                assert!(session.health("query").unwrap().is_healthy());
+            }
+        }
     }
 
     #[test]

@@ -278,7 +278,7 @@ fn durable_maintain_resumes_from_the_wal_directory() {
     assert!(out.status.success(), "{text}{}", String::from_utf8_lossy(&out.stderr));
     assert!(text.contains("durable"), "{text}");
     assert!(text.contains("?d: 2 candidates"), "{text}");
-    assert!(wal.join("branch-0/wal.log").is_file());
+    assert!(wal.join("query-query/branch-0/wal.log").is_file());
 
     // Leg 2: a fresh process resumes from disk — no --data/--query —
     // and applies the remaining stream on top of the recovered state.
@@ -292,20 +292,64 @@ fn durable_maintain_resumes_from_the_wal_directory() {
     ]);
     let text = String::from_utf8(out.stdout.clone()).unwrap();
     assert!(out.status.success(), "{text}{}", String::from_utf8_lossy(&out.stderr));
-    assert!(
-        text.contains("branch 0: recovered at epoch 1 (snapshot epoch 0, 1 WAL record(s) replayed)"),
-        "{text}"
-    );
+    assert!(text.contains("recovered `query`: 1 WAL record(s) replayed"), "{text}");
     assert!(text.contains("?d: 2 candidates"), "{text}");
     assert!(text.contains("B. De Palma"), "{text}");
 
     // Leg 3: resuming with no further updates just reprints the
-    // recovered solution, now from epoch 3.
+    // recovered solution, now three WAL records past the snapshot.
     let out = sparqlsim(&["maintain", "--resume", "--wal", wal.to_str().unwrap()]);
     let text = String::from_utf8(out.stdout.clone()).unwrap();
     assert!(out.status.success(), "{text}{}", String::from_utf8_lossy(&out.stderr));
-    assert!(text.contains("recovered at epoch 3"), "{text}");
+    assert!(text.contains("recovered `query`: 3 WAL record(s) replayed"), "{text}");
     assert!(text.contains("?d: 2 candidates"), "{text}");
+}
+
+#[test]
+fn resumed_sessions_keep_the_query_text_in_later_snapshots() {
+    let db = write_db("resume_twice.nt");
+    let dir = std::env::temp_dir().join("dualsim-cli-tests/resume-twice");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal = dir.join("state.d");
+    let updates = dir.join("updates.txt");
+    std::fs::write(&updates, "- <T. Young> <directed> <Thunderball> .\n").unwrap();
+    let out = sparqlsim(&[
+        "maintain",
+        "--data",
+        db.to_str().unwrap(),
+        "--query-text",
+        "{ ?d directed ?m . ?d worked_with ?c }",
+        "--fixpoint",
+        "delta",
+        "--updates",
+        updates.to_str().unwrap(),
+        "--wal",
+        wal.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    // The first resume writes a snapshot after its batch; the second
+    // starts from that snapshot and must still know the query.
+    std::fs::write(&updates, "+ <T. Young> <directed> <Thunderball> .\n").unwrap();
+    for leg in [Some(&updates), None] {
+        let mut args = vec![
+            "serve",
+            "--resume",
+            "--wal",
+            wal.to_str().unwrap(),
+            "--snapshot-every",
+            "1",
+        ];
+        if let Some(path) = leg {
+            args.extend(["--updates", path.to_str().unwrap()]);
+        }
+        let out = sparqlsim(&args);
+        let text = String::from_utf8(out.stdout.clone()).unwrap();
+        assert!(out.status.success(), "{text}{}", String::from_utf8_lossy(&out.stderr));
+        assert!(text.contains("— query `query`: healthy —"), "{text}");
+        assert!(text.contains("?d: 2 candidates"), "{text}");
+    }
 }
 
 #[test]
